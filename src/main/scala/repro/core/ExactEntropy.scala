@@ -60,19 +60,22 @@ object ExactEntropy {
     Result(out.result(), aborted = false, elapsed)
   }
 
+  /** Largest clause-cell union [[viaClauses]] enumerates (2^26 subsets). */
+  private val MaxVars = 26
+
   /** Fast exact value via witness clauses: cells appearing in no clause of
     * `p` cannot influence fulfilment, so it suffices to enumerate the subsets
     * of the clause-cell union (each outside cell contributes a factor
     * `2 / 2 = 1`). Exact, and exponential only in the number of *involved*
     * cells — used as the ground truth for Monte-Carlo convergence tests.
     */
-  def viaClauses(clauses: Seq[Set[Pos]], maxVars: Int = 26): Double = {
+  def viaClauses(clauses: Seq[Set[Pos]]): Double = {
     if (clauses.isEmpty) return 1.0
-    val vars = clauses.flatten.distinct.toVector
-    require(vars.size <= maxVars, s"clause-cell union of ${vars.size} cells refused")
-    val idx = vars.zipWithIndex.toMap
-    val masks = clauses.map(c => c.foldLeft(0L)((m, p) => m | (1L << idx(p)))).toArray
-    val total = 1L << vars.size
+    val mc = MonteCarlo.mask(clauses)
+    require(mc.nVars <= MaxVars, s"clause-cell union of ${mc.nVars} cells refused")
+    // MaxVars < 64, so every clause fits in word 0.
+    val masks = mc.masks.map(_.headOption.getOrElse(0L))
+    val total = 1L << mc.nVars
     var hit = 0L
     var mask = 0L
     while (mask < total) {
@@ -88,16 +91,9 @@ object ExactEntropy {
     hit.toDouble / total
   }
 
-  /** Clause-based exact entropy for one position. */
-  def viaClauses(inst: Instance, closedFds: Seq[FD], p: Pos): Double =
-    viaClauses(Clauses.forPosition(inst, closedFds, p))
-
   /** Clause-based exact entropy matrix (requires every position's clause-cell
     * union to be small).
     */
-  def clauseMatrix(inst: Instance, fds: Seq[FD], maxVars: Int = 26): Map[Pos, Double] = {
-    val closed = FDs.closure(fds)
-    val all = Clauses.forAllPositions(inst, closed)
-    inst.positions.map(p => p -> viaClauses(all.getOrElse(p, Vector.empty), maxVars)).toMap
-  }
+  def clauseMatrix(inst: Instance, fds: Seq[FD]): Map[Pos, Double] =
+    PlaqueTest.runExact(inst, fds).byPosition
 }

@@ -50,14 +50,8 @@ object FDs {
     }.toVector
   }
 
-  /** Pseudo-transitivity fixpoint of `fds`, minimized.
-    *
-    * @param maxLhs safety cap on generated LHS sizes; derived FDs with larger
-    *               LHS are not explored (their clauses would be subsumed in
-    *               all inputs used here, but the cap guards pathological FD
-    *               sets). Defaults to unbounded.
-    */
-  def closure(fds: Seq[FD], maxLhs: Int = Int.MaxValue): Vector[FD] = {
+  /** Pseudo-transitivity fixpoint of `fds`, minimized. */
+  def closure(fds: Seq[FD]): Vector[FD] = {
     var known = minimize(fds).toSet
     var changed = true
     while (changed) {
@@ -67,7 +61,7 @@ object FDs {
         g <- known.iterator
         if g.lhs.contains(f.rhs)
         cand = FD(f.lhs ++ (g.lhs - f.rhs), g.rhs)
-        if !cand.trivial && cand.lhs.size <= maxLhs
+        if !cand.trivial
         if !known.exists(h => h.rhs == cand.rhs && h.lhs.subsetOf(cand.lhs))
       } yield cand
       val fresh = derived.toSet

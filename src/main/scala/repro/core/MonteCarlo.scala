@@ -25,8 +25,10 @@ object MonteCarlo {
   /** Accuracy ε reached with confidence 1−δ after `n` iterations (inverse of
     * [[requiredIterations]]), used to annotate benchmark output.
     */
-  def accuracy(n: Long, delta: Double): Double =
+  def accuracy(n: Long, delta: Double): Double = {
+    require(n > 0, s"iteration count must be positive, got $n")
     math.sqrt(2.0 * math.log(2.0 / delta) / n)
+  }
 
   /** Clause set pre-lowered to bitmask words over its cell union. */
   final case class MaskedClauses(nVars: Int, masks: Array[Array[Long]]) {
@@ -51,6 +53,7 @@ object MonteCarlo {
 
   /** One MC estimate: fraction of sampled deletions that hit every clause. */
   def estimate(mc: MaskedClauses, iters: Long, seed: Long): Double = {
+    require(iters > 0, s"iteration count must be positive, got $iters")
     if (mc.masks.isEmpty) return 1.0
     val rng = new SplittableRandom(seed)
     val nWords = mc.nWords
@@ -79,21 +82,17 @@ object MonteCarlo {
     hits.toDouble / iters
   }
 
-  /** Local MC estimate for one position of an instance (closed FD set). */
-  def estimatePosition(inst: Instance, closedFds: Seq[FD], p: Pos, iters: Long, seed: Long): Double =
-    estimate(mask(Clauses.forPosition(inst, closedFds, p)), iters, seed)
-
   /** Local MC entropy matrix: unique positions get exactly 1.0 (Prop. 3.2),
-    * the others are estimated with `iters` samples each.
+    * the others are estimated with `iters` samples each, cell `(j, k)` from
+    * seed `seed ^ (j << 20) ^ k`.
     */
-  def matrixLocal(inst: Instance, fds: Seq[FD], iters: Long, seed: Long = 42): Map[Pos, Double] = {
-    val closed = FDs.closure(fds)
-    val all = Clauses.forAllPositions(inst, closed)
-    inst.positions.map { p =>
-      val cls = all.getOrElse(p, Vector.empty)
-      p -> (if (cls.isEmpty) 1.0 else estimate(mask(cls), iters, seed ^ (p.row.toLong << 20) ^ p.col))
-    }.toMap
-  }
+  def matrixLocal(inst: Instance, fds: Seq[FD], iters: Long, seed: Long = 42): Map[Pos, Double] =
+    PlaqueTest.pipeline(inst, fds, iters)(_.map { case (p, cls) =>
+      p -> estimate(mask(cls), iters, seed ^ (p.row.toLong << 20) ^ p.col)
+    }).byPosition
+
+  /** Iterations per [[estimateSpark]] task; the block index enters the task seed. */
+  private val BlockIters = 25000L
 
   /** Distributed MC entropy estimates for the given positions.
     *
@@ -109,21 +108,18 @@ object MonteCarlo {
       clausesByPos: Map[Pos, Seq[Set[Pos]]],
       iters: Long,
       seed: Long = 42,
-      blockIters: Long = 25000L,
   ): Map[Pos, Double] = {
     import spark.implicits._
+    require(iters > 0, s"iteration count must be positive, got $iters")
     if (clausesByPos.isEmpty) return Map.empty
     val posList = clausesByPos.keys.toVector.sortBy(p => (p.row, p.col))
     val masked = posList.map(p => mask(clausesByPos(p))).toArray
     val bc = spark.sparkContext.broadcast(masked)
 
     val tasks = for {
-      (p, pi) <- posList.zipWithIndex
-      nBlocks = math.max(1L, (iters + blockIters - 1) / blockIters)
-      b <- 0L until nBlocks
-      thisIters = math.min(blockIters, iters - b * blockIters)
-      if thisIters > 0
-    } yield (pi, b, thisIters)
+      pi <- posList.indices
+      b <- 0L until (iters + BlockIters - 1) / BlockIters
+    } yield (pi, b, math.min(BlockIters, iters - b * BlockIters))
 
     val hitsByPos = tasks
       .toDS()

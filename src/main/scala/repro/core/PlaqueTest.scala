@@ -5,9 +5,10 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 /** End-to-end "plaque test": per-cell entropy matrix for a relation instance
   * under a set of functional dependencies (the paper's visualization input).
   *
-  * Pipeline = closure (§2.1) → Prop. 3.2 uniqueness skip → witness clauses on
-  * the reduced problem (§3.1) → Spark-distributed Monte-Carlo estimation
-  * (§3.2) for the remaining positions.
+  * Pipeline = closure (§2.1) → witness clauses (§3.1) → an estimator for the
+  * positions that have clauses; every other position is unique and gets 1
+  * (Prop. 3.2). [[run]] estimates by Spark-distributed Monte Carlo (§3.2),
+  * [[runExact]] exactly (Prop. 2.9).
   */
 object PlaqueTest {
 
@@ -29,6 +30,8 @@ object PlaqueTest {
     def entropy(p: Pos): Double = entropies(p.row)(p.col)
 
     def cells: Int = inst.nCells
+
+    private[core] def byPosition: Map[Pos, Double] = inst.positions.map(p => p -> entropy(p)).toMap
 
     /** Smallest entropy in the matrix (1.0 for a redundancy-free instance). */
     def minEntropy: Double =
@@ -90,23 +93,14 @@ object PlaqueTest {
       fds: Seq[FD],
       iterations: Long,
       seed: Long = 42,
-      maxLhsClosure: Int = Int.MaxValue,
-  ): Result = {
-    val closed = FDs.closure(fds, maxLhsClosure)
-    val clauses = Clauses.forAllPositions(inst, closed).filter(_._2.nonEmpty)
-    val est = MonteCarlo.estimateSpark(spark, clauses.view.mapValues(v => v: Seq[Set[Pos]]).toMap, iterations, seed)
-    assemble(inst, closed, est, iterations)
-  }
+  ): Result =
+    pipeline(inst, fds, iterations)(MonteCarlo.estimateSpark(spark, _, iterations, seed))
 
   /** Run the plaque test with *exact* clause-based entropies (small problems
     * and tests only).
     */
-  def runExact(inst: Instance, fds: Seq[FD], maxVars: Int = 26): Result = {
-    val closed = FDs.closure(fds)
-    val clauses = Clauses.forAllPositions(inst, closed).filter(_._2.nonEmpty)
-    val exact = clauses.map { case (p, cls) => p -> ExactEntropy.viaClauses(cls, maxVars) }
-    assemble(inst, closed, exact, 0L)
-  }
+  def runExact(inst: Instance, fds: Seq[FD]): Result =
+    pipeline(inst, fds, 0L)(_.map { case (p, cls) => p -> ExactEntropy.viaClauses(cls) })
 
   /** Convenience entry point from a DataFrame with name-level FDs. */
   def fromDataFrame(
@@ -121,12 +115,15 @@ object PlaqueTest {
     run(spark, inst, FDs.byName(inst.attrs, fds), iterations, seed)
   }
 
-  private def assemble(
-      inst: Instance,
-      closed: Vector[FD],
-      below: Map[Pos, Double],
-      iterations: Long,
-  ): Result = {
+  /** The one plaque pipeline: close `F` (§2.1), build the witness clauses
+    * of every position (§3.1), estimate the positions that have clauses, and
+    * fill in `INF = 1` for all others (Prop. 3.2). `estimate` receives only
+    * non-empty clause sets and must return a value for each of its keys.
+    */
+  private[core] def pipeline(inst: Instance, fds: Seq[FD], iterations: Long)(
+      estimate: Map[Pos, Vector[Set[Pos]]] => Map[Pos, Double]): Result = {
+    val closed = FDs.closure(fds)
+    val below = estimate(Clauses.forAllPositions(inst, closed))
     val matrix = Vector.tabulate(inst.nRows, inst.arity) { (j, k) =>
       below.getOrElse(Pos(j, k), 1.0)
     }

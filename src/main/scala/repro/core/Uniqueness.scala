@@ -58,17 +58,4 @@ object Uniqueness {
     */
   def nonUniqueCountsDF(df: DataFrame, fds: Seq[(Seq[String], String)], idCol: String): DataFrame =
     nonUniqueDF(df, fds, idCol).groupBy(col("attr")).agg(count(lit(1)).as("n_cells"))
-
-  /** Convenience: a Column expression `true` iff the FD `lhs -> rhs` holds in
-    * `df` (used by discovery verification).
-    */
-  def fdHolds(df: DataFrame, lhs: Seq[String], rhs: String): Boolean = {
-    val maxDistinct = df
-      .groupBy(lhs.map(col): _*)
-      .agg(countDistinct(col(rhs)).as("d"))
-      .agg(max(col("d")).as("m"))
-      .collect()(0)
-      .getLong(0)
-    maxDistinct <= 1L
-  }
 }

@@ -9,11 +9,11 @@ import repro.core._
   * counts.
   *
   * The paper measures its single-threaded prototype, so this grid times the
-  * single-threaded sampler (closure + uniqueness/clauses + per-position MC)
-  * — the Spark-distributed sampler used by Figs. 3/6 hides the per-iteration
-  * scaling behind fixed job-scheduling overhead at these problem sizes. The
-  * reproduced signals are runtime ≈ linear in iterations and growing with
-  * the row count.
+  * single-threaded sampler, [[MonteCarlo.matrixLocal]] (closure + clauses +
+  * per-position MC) — the Spark-distributed sampler used by Figs. 3/6 hides
+  * the per-iteration scaling behind fixed job-scheduling overhead at these
+  * problem sizes. The reproduced signals are runtime ≈ linear in iterations
+  * and growing with the row count.
   */
 object Fig5Exp {
 
@@ -22,28 +22,17 @@ object Fig5Exp {
   val DefaultRows: Seq[Int] = Seq(10, 30, 50, 70, 90, 110, 130, 150)
   val DefaultIters: Seq[Long] = Seq(10000L, 100000L, 1000000L)
 
-  /** End-to-end single-threaded plaque computation for one (prefix, iters)
-    * configuration: FD closure, witness clauses (Props. 3.2/3.3 fused), and
-    * the MC estimate for every non-unique position.
-    */
-  def runOnce(prep: Experiments.Prepared, iters: Long, seed: Long = 42): Map[Pos, Double] = {
-    val closed = FDs.closure(prep.fds)
-    val clauses = Clauses.forAllPositions(prep.inst, closed).filter(_._2.nonEmpty)
-    clauses.map { case (p, cls) =>
-      p -> MonteCarlo.estimate(MonteCarlo.mask(cls), iters, seed ^ (p.row.toLong << 20) ^ p.col)
-    }
-  }
-
   def run(
       spark: SparkSession,
       rowCounts: Seq[Int] = DefaultRows,
       iterCounts: Seq[Long] = DefaultIters,
   ): Seq[Cell] = {
     // JIT warm-up so the first grid cell is not charged for compilation.
-    runOnce(Experiments.satellitesPrefix(spark, 20), 20000)
+    val warm = Experiments.satellitesPrefix(spark, 20)
+    MonteCarlo.matrixLocal(warm.inst, warm.fds, 20000)
     for (r <- rowCounts; it <- iterCounts) yield {
       val prep = Experiments.satellitesPrefix(spark, r)
-      val (_, ms) = Experiments.timeMs(runOnce(prep, it))
+      val (_, ms) = Experiments.timeMs(MonteCarlo.matrixLocal(prep.inst, prep.fds, it))
       Cell(r, it, ms / 1000.0)
     }
   }

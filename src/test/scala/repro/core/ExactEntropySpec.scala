@@ -31,7 +31,7 @@ class ExactEntropySpec extends AnyFunSuite {
   test("Example 3.4: viaClauses matches the naive value exactly") {
     for (p <- ex34.positions) {
       val n = NaiveEntropy.compute(ex34, closed, p)
-      val c = ExactEntropy.viaClauses(ex34, closed, p)
+      val c = ExactEntropy.viaClauses(Clauses.forPosition(ex34, closed, p))
       assert(math.abs(n - c) < 1e-12, s"at $p")
     }
   }
@@ -71,7 +71,7 @@ class ExactEntropySpec extends AnyFunSuite {
 
   test("viaClauses refuses oversized clause unions") {
     val big = Vector.tabulate(30)(i => Set(Pos(i, 0), Pos(i, 1)))
-    assertThrows[IllegalArgumentException](ExactEntropy.viaClauses(big, maxVars = 26))
+    assertThrows[IllegalArgumentException](ExactEntropy.viaClauses(big))
   }
 
   test("naive refuses oversized instances") {
@@ -97,18 +97,24 @@ class ExactEntropySpec extends AnyFunSuite {
   }
 
   // Ground-truth equivalence: naive (full-instance enumeration) == clause
-  // exact == optimized, on randomized repaired instances.
+  // exact == optimized == the plaque pipeline, on randomized repaired
+  // instances.
   for (seed <- 100 until 130) {
     test(s"naive ≡ viaClauses ≡ optimized (random instance, seed=$seed)") {
       val (inst, fds) = TestGen.instanceWithFds(seed)
       val closed = FDs.closure(fds)
       val opt = ExactEntropy.optimized(inst, fds)
       assert(!opt.aborted)
+      val all = Clauses.forAllPositions(inst, closed)
+      assert(all.values.forall(_.nonEmpty), s"empty clause set in $all")
+      val res = PlaqueTest.runExact(inst, fds)
+      assert(res.nonUnique == Uniqueness.nonUniquePositions(inst, closed))
       for (p <- inst.positions) {
         val n = NaiveEntropy.compute(inst, closed, p)
-        val c = ExactEntropy.viaClauses(inst, closed, p)
+        val c = ExactEntropy.viaClauses(Clauses.forPosition(inst, closed, p))
         assert(math.abs(n - c) < 1e-12, s"naive=$n clause=$c at $p inst=$inst fds=$fds")
         assert(math.abs(n - opt.entropies(p)) < 1e-12, s"naive=$n opt=${opt.entropies(p)} at $p")
+        assert(math.abs(n - res.entropy(p)) < 1e-12, s"naive=$n runExact=${res.entropy(p)} at $p")
       }
     }
   }

@@ -72,12 +72,6 @@ class FDSpec extends AnyFunSuite {
     ))
   }
 
-  test("closure respects the maxLhs cap") {
-    val closed = FDs.closure(Seq(FD(Set(0, 1), 2), FD(Set(2, 3), 4)), maxLhs = 2)
-    // Pseudo-transitivity would derive {0,1,3}->4 (size 3) — capped away.
-    assert(!closed.exists(_.lhs.size > 2))
-  }
-
   test("closure is idempotent") {
     val once = FDs.closure(Seq(FD(Set(0), 1), FD(Set(1), 2), FD(Set(1, 2), 3)))
     assert(FDs.closure(once).toSet == once.toSet)

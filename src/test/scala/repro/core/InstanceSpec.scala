@@ -67,9 +67,10 @@ class InstanceSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("encode handles nulls as a distinct value") {
-    val e = Instance.encode(Seq("A"), Seq(Seq(null), Seq("x"), Seq(null)))
+    val e = Instance.encode(Seq("A"), Seq(Seq(null), Seq("x"), Seq(null), Seq("null")))
     assert(e.rows(0)(0) == e.rows(2)(0))
     assert(e.rows(0)(0) != e.rows(1)(0))
+    assert(e.rows(0)(0) != e.rows(3)(0))
   }
 
   test("fromDataFrame fixes tuple order by the orderBy column and drops it") {

@@ -53,6 +53,16 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
     assert(mc.nWords == 2)
   }
 
+  test("estimate rejects a non-positive iteration count") {
+    val e = intercept[IllegalArgumentException](MonteCarlo.estimate(MonteCarlo.mask(Vector.empty), 0, 1))
+    assert(e.getMessage.contains("got 0"))
+  }
+
+  test("accuracy rejects a non-positive iteration count") {
+    val e = intercept[IllegalArgumentException](MonteCarlo.accuracy(-5, 0.01))
+    assert(e.getMessage.contains("got -5"))
+  }
+
   test("estimate of an empty clause set is exactly 1") {
     assert(MonteCarlo.estimate(MonteCarlo.mask(Vector.empty), 100, 1) == 1.0)
   }
@@ -98,14 +108,6 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  test("estimatePosition matches estimate over forPosition clauses") {
-    val (inst, fds) = TestGen.instanceWithFds(777)
-    val closed = FDs.closure(fds)
-    val p = inst.positions.head
-    val direct = MonteCarlo.estimate(MonteCarlo.mask(Clauses.forPosition(inst, closed, p)), 5000, 9)
-    assert(MonteCarlo.estimatePosition(inst, closed, p, 5000, 9) == direct)
-  }
-
   test("matrixLocal gives 1.0 exactly on unique positions") {
     val ex34 = Instance(
       Vector("A", "B", "C", "D"),
@@ -138,10 +140,16 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
     assert(MonteCarlo.estimateSpark(spark, Map.empty, 1000).isEmpty)
   }
 
+  test("estimateSpark rejects a non-positive iteration count") {
+    val clauses = Map(Pos(0, 0) -> (Vector(Set(Pos(1, 1))): Seq[Set[Pos]]))
+    val e = intercept[IllegalArgumentException](MonteCarlo.estimateSpark(spark, clauses, 0))
+    assert(e.getMessage.contains("got 0"))
+  }
+
   test("estimateSpark splits iterations into blocks without losing any") {
     val clauses = Map(Pos(0, 0) -> (Vector(Set(Pos(1, 1))): Seq[Set[Pos]]))
     // 7 full blocks + remainder: estimate should still be ~0.5.
-    val est = MonteCarlo.estimateSpark(spark, clauses, 180001, blockIters = 25000)
+    val est = MonteCarlo.estimateSpark(spark, clauses, 180001)
     assert(math.abs(est(Pos(0, 0)) - 0.5) < 0.02, s"got $est")
   }
 
@@ -149,9 +157,9 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
     for (seed <- 600 until 605) {
       val (inst, fds) = TestGen.instanceWithFds(seed)
       val closed = FDs.closure(fds)
-      val all = Clauses.forAllPositions(inst, closed).filter(_._2.nonEmpty)
+      val all = Clauses.forAllPositions(inst, closed)
       if (all.nonEmpty) {
-        val spark_ = MonteCarlo.estimateSpark(spark, all.view.mapValues(v => v: Seq[Set[Pos]]).toMap, 50000, seed)
+        val spark_ = MonteCarlo.estimateSpark(spark, all, 50000, seed)
         for ((p, e) <- spark_) {
           val exact = ExactEntropy.viaClauses(all(p))
           assert(math.abs(e - exact) < 0.025, s"seed=$seed p=$p spark=$e exact=$exact")

@@ -56,7 +56,7 @@ class PlaqueTestSpec extends AnyFunSuite with SparkSpec {
       Vector("A", "B"),
       Vector.tabulate(12)(j => Vector(j % 3, 9)),
     )
-    val res = PlaqueTest.runExact(inst, Vector(FD(Set.empty[Int], 1)), maxVars = 26)
+    val res = PlaqueTest.runExact(inst, Vector(FD(Set.empty[Int], 1)))
     assert(res.zeroColumns(tol = 0.1) == Vector("B"))
     assert(res.entropies(0)(1) < 0.001)
   }

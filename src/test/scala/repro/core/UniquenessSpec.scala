@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{Oracle, SparkSpec}
 import repro.data.Datasets
+import repro.fdiscovery.FDDiscovery
 
 class UniquenessSpec extends AnyFunSuite with SparkSpec {
 
@@ -42,7 +43,7 @@ class UniquenessSpec extends AnyFunSuite with SparkSpec {
       val closed = FDs.closure(fds)
       val nu = Uniqueness.nonUniquePositions(inst, closed)
       for (p <- inst.positions) {
-        val inf = ExactEntropy.viaClauses(inst, closed, p)
+        val inf = ExactEntropy.viaClauses(Clauses.forPosition(inst, closed, p))
         assert((inf == 1.0) == !nu.contains(p), s"at $p inf=$inf inst=$inst fds=$fds")
       }
     }
@@ -109,12 +110,12 @@ class UniquenessSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("fdHolds is true for the planted satellite FDs") {
-    assert(Uniqueness.fdHolds(satDf, Seq("mean_radius"), "planet"))
-    assert(Uniqueness.fdHolds(satDf, Seq("discovered_by"), "notes"))
+    assert(FDDiscovery.holdsSpark(satDf, Seq("mean_radius"), "planet"))
+    assert(FDDiscovery.holdsSpark(satDf, Seq("discovered_by"), "notes"))
   }
 
   test("fdHolds is false for a violated FD") {
-    assert(!Uniqueness.fdHolds(satDf, Seq("planet"), "mean_radius"))
-    assert(!Uniqueness.fdHolds(satDf, Seq("notes"), "discovered_by"))
+    assert(!FDDiscovery.holdsSpark(satDf, Seq("planet"), "mean_radius"))
+    assert(!FDDiscovery.holdsSpark(satDf, Seq("notes"), "discovered_by"))
   }
 }

@@ -57,7 +57,7 @@ class WitnessStatsSpec extends AnyFunSuite with SparkSpec {
 
   test("ordersWithRegion plants o_custkey -> o_region") {
     val df = WitnessStats.ordersWithRegion(spark, 0.002)
-    assert(repro.core.Uniqueness.fdHolds(df, Seq("o_custkey"), "o_region"))
+    assert(repro.fdiscovery.FDDiscovery.holdsSpark(df, Seq("o_custkey"), "o_region"))
   }
 
   test("denormalisation repeats order attributes per line item") {

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable
+
 /** A functional dependency `A_1 ... A_s -> B` over column indices
   * (Definition 2.3). `lhs` may be empty (a constant column) and may contain
   * `rhs` (a trivial, reflexive FD — always fulfilled).
@@ -15,11 +17,11 @@ final case class FD(lhs: Set[Int], rhs: Int) {
     s"${lhs.toSeq.sorted.map(attrs).mkString(", ")} -> ${attrs(rhs)}"
 }
 
-/** Construction and implication-closure utilities for FD sets.
+/** Construction, checking and implication-closure utilities for FD sets.
   *
   * The paper's semantics of `I ⊨ F` for instances with variables requires the
   * *closure* `F*` of `F` ("we assume that the transitive closure of functional
-  * dependencies is provided", §2.1). We compute it as the fixpoint of
+  * dependencies is provided", §2.1). We compute it by saturating `F` under
   * pseudo-transitivity — `L→B, M→C with B∈M  ⟹  (L ∪ M∖{B})→C` — with
   * LHS-subsumption pruning (an FD whose LHS is a superset of another FD's LHS
   * with the same RHS is implied by augmentation and contributes only subsumed,
@@ -39,6 +41,24 @@ object FDs {
     i
   }
 
+  /** Two row ids that agree on `fd`'s LHS and differ on its RHS, or `None`
+    * if `fd` holds in `inst` (Definition 2.3, hash-grouped). Trivial FDs
+    * always hold.
+    */
+  def violation(inst: Instance, fd: FD): Option[(Int, Int)] = {
+    if (fd.trivial) return None
+    val lhs = fd.lhs.toVector.sorted
+    val rows = inst.rows
+    val first = mutable.HashMap.empty[Vector[Int], Int]
+    var j = 0
+    while (j < rows.length) {
+      val i = first.getOrElseUpdate(lhs.map(rows(j)), j)
+      if (i != j && rows(i)(fd.rhs) != rows(j)(fd.rhs)) return Some((i, j))
+      j += 1
+    }
+    None
+  }
+
   /** Drop trivial FDs, duplicates, and FDs subsumed by another FD with the
     * same RHS and a subset LHS. The result determines the same minimal
     * witness clauses as the input.
@@ -50,27 +70,60 @@ object FDs {
     }.toVector
   }
 
-  /** Pseudo-transitivity fixpoint of `fds`, minimized. */
+  /** The closure `F*` of `fds`: every non-trivial implied FD with a minimal
+    * LHS, sorted by `(rhs, |lhs|, lhs)`.
+    *
+    * FD implication is Horn-clause resolution (Beeri & Bernstein, TODS 1979),
+    * so the closure is saturated from a worklist. LHSs are `Long` bitmasks,
+    * kept in one subsumption antichain per RHS column. A candidate is dropped
+    * when it is trivial or a kept LHS with its RHS is a subset of it; a kept
+    * candidate evicts the LHSs it is a subset of and joins the worklist. Each
+    * FD taken from the worklist is resolved once as the left premise (against
+    * every live FD whose LHS contains its RHS) and once as the right premise
+    * (against every live FD whose RHS is in its LHS). The output is identical,
+    * element for element and in order, to that of the pairwise fixpoint this
+    * replaced. Column indices must lie in `[0, 64)`.
+    */
   def closure(fds: Seq[FD]): Vector[FD] = {
-    var known = minimize(fds).toSet
-    var changed = true
-    while (changed) {
-      changed = false
-      val derived = for {
-        f <- known.iterator
-        g <- known.iterator
-        if g.lhs.contains(f.rhs)
-        cand = FD(f.lhs ++ (g.lhs - f.rhs), g.rhs)
-        if !cand.trivial
-        if !known.exists(h => h.rhs == cand.rhs && h.lhs.subsetOf(cand.lhs))
-      } yield cand
-      val fresh = derived.toSet
-      if (fresh.nonEmpty) {
-        // Re-minimize: a new FD may subsume previously known ones.
-        known = minimize((known ++ fresh).toSeq).toSet
-        changed = true
+    for (f <- fds)
+      require(f.rhs >= 0 && f.rhs < 64 && f.lhs.forall(a => a >= 0 && a < 64),
+        s"closure supports column indices 0..63 only, got $f")
+    val width = fds.iterator.map(f => (f.lhs + f.rhs).max + 1).maxOption.getOrElse(0)
+    // Copy-on-write: `add` replaces an antichain, so a loop over one is a snapshot.
+    val byRhs = Array.fill(width)(Array.emptyLongArray)
+    val queue = mutable.Queue.empty[(Long, Int)]
+    def subsumed(l: Long, r: Int): Boolean = {
+      val live = byRhs(r)
+      var i = 0
+      while (i < live.length && (live(i) & ~l) != 0) i += 1
+      i < live.length
+    }
+    def add(l: Long, r: Int): Unit =
+      if ((l & 1L << r) == 0 && !subsumed(l, r)) {
+        byRhs(r) = byRhs(r).filter(h => (l & ~h) != 0) :+ l
+        queue.enqueue((l, r))
+      }
+    for (f <- fds) add(f.lhs.foldLeft(0L)((m, a) => m | 1L << a), f.rhs)
+    while (queue.nonEmpty) {
+      val (l, r) = queue.dequeue()
+      // An evicted FD's resolvents are subsumed by those of its evictor.
+      if (byRhs(r).contains(l)) {
+        val bit = 1L << r
+        for (c <- byRhs.indices) {
+          val gs = byRhs(c)
+          val inLhs = (l & 1L << c) != 0
+          var i = 0
+          while (i < gs.length) {
+            val g = gs(i)
+            if ((g & bit) != 0) add(l | g & ~bit, c) // f = l→r as the left premise
+            if (inLhs) add(g | l & ~(1L << c), r) // f as the right premise
+            i += 1
+          }
+        }
       }
     }
-    known.toVector.sortBy(f => (f.rhs, f.lhs.size, f.lhs.toSeq.sorted.mkString(",")))
+    val closed = for (r <- byRhs.indices; l <- byRhs(r))
+      yield FD((0 until 64).filter(a => (l & 1L << a) != 0).toSet, r)
+    closed.toVector.sortBy(f => (f.rhs, f.lhs.size, f.lhs.toSeq.sorted.mkString(",")))
   }
 }

@@ -115,13 +115,21 @@ object PlaqueTest {
     run(spark, inst, FDs.byName(inst.attrs, fds), iterations, seed)
   }
 
-  /** The one plaque pipeline: close `F` (§2.1), build the witness clauses
-    * of every position (§3.1), estimate the positions that have clauses, and
-    * fill in `INF = 1` for all others (Prop. 3.2). `estimate` receives only
-    * non-empty clause sets and must return a value for each of its keys.
+  /** The one plaque pipeline: check `I ⊨ F`, close `F` (§2.1), build the
+    * witness clauses of every position (§3.1), estimate the positions that
+    * have clauses, and fill in `INF = 1` for all others (Prop. 3.2).
+    * `estimate` receives only non-empty clause sets and must return a value
+    * for each of its keys.
+    *
+    * The clause reformulation assumes `I ⊨ F` (hence `I ⊨ F*`), so an FD
+    * that does not hold is rejected with an `IllegalArgumentException`
+    * naming it and two violating rows.
     */
   private[core] def pipeline(inst: Instance, fds: Seq[FD], iterations: Long)(
       estimate: Map[Pos, Vector[Set[Pos]]] => Map[Pos, Double]): Result = {
+    for (f <- fds; (i, j) <- FDs.violation(inst, f))
+      throw new IllegalArgumentException(
+        s"FD ${f.render(inst.attrs)} does not hold: rows $i and $j agree on its LHS but differ on ${inst.attrs(f.rhs)}")
     val closed = FDs.closure(fds)
     val below = estimate(Clauses.forAllPositions(inst, closed))
     val matrix = Vector.tabulate(inst.nRows, inst.arity) { (j, k) =>

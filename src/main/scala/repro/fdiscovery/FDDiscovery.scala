@@ -55,16 +55,9 @@ object FDDiscovery {
     out.result()
   }
 
-  /** Does `lhs -> rhs` hold in the instance? (Definition 2.3, hash-grouped.) */
-  def holdsLocal(inst: Instance, lhs: Set[Int], rhs: Int): Boolean = {
-    if (lhs.contains(rhs)) return true
-    val l = lhs.toVector.sorted
-    val seen = scala.collection.mutable.HashMap.empty[Vector[Int], Int]
-    inst.rows.forall { row =>
-      val key = l.map(row)
-      seen.getOrElseUpdate(key, row(rhs)) == row(rhs)
-    }
-  }
+  /** Does `lhs -> rhs` hold in the instance? (See [[FDs.violation]].) */
+  def holdsLocal(inst: Instance, lhs: Set[Int], rhs: Int): Boolean =
+    FDs.violation(inst, FD(lhs, rhs)).isEmpty
 
   /** Name-level convenience over a DataFrame (collects via [[Instance]]). */
   def discover(df: DataFrame, orderBy: String, maxLhs: Int = 2): (Instance, Vector[FD]) = {

@@ -85,4 +85,63 @@ class FDSpec extends AnyFunSuite {
     val closed = FDs.closure(Seq(FD(Set.empty[Int], 1), FD(Set(1), 2)))
     assert(closed.contains(FD(Set.empty[Int], 2))) // pseudo-transitivity with empty LHS
   }
+
+  test("closure rejects column indices outside [0, 64)") {
+    val e = intercept[IllegalArgumentException](FDs.closure(Seq(FD(Set(64), 0))))
+    assert(e.getMessage.contains("FD(Set(64),0)"))
+    assertThrows[IllegalArgumentException](FDs.closure(Seq(FD(Set(0), 64))))
+    assertThrows[IllegalArgumentException](FDs.closure(Seq(FD(Set(-1), 0))))
+  }
+
+  test("closure keeps column 63") {
+    assert(FDs.closure(Seq(FD(Set(63), 0), FD(Set(0), 1))) ==
+      Vector(FD(Set(63), 0), FD(Set(0), 1), FD(Set(63), 1)))
+  }
+
+  /** `X⁺` under `fds`, as a bitmask over columns. */
+  private def attrClosure(fds: Seq[FD], x: Int): Int = {
+    var c = x
+    var grew = true
+    while (grew) {
+      grew = false
+      for (f <- fds if f.lhs.forall(a => (c & 1 << a) != 0) && (c & 1 << f.rhs) == 0) {
+        c |= 1 << f.rhs
+        grew = true
+      }
+    }
+    c
+  }
+
+  test("closure ≡ referenceClosure on 2,000 random FD sets, and ≡ Armstrong semantics for arity ≤ 6") {
+    var checkedSemantics = 0
+    var derivedNew = 0
+    for (seed <- 0L until 2000L) {
+      val (arity, fds) = TestGen.fdSet(seed)
+      val closed = FDs.closure(fds)
+      assert(closed == TestGen.referenceClosure(fds), s"seed $seed: $fds")
+      if (closed.size != FDs.minimize(fds).size) derivedNew += 1
+      if (arity <= 6) {
+        def determines(x: Int, a: Int) = (attrClosure(fds, x) & 1 << a) != 0
+        val minimal = for {
+          x <- 0 until 1 << arity
+          a <- 0 until arity
+          if (x & 1 << a) == 0 && determines(x, a)
+          if (0 until arity).forall(b => (x & 1 << b) == 0 || !determines(x & ~(1 << b), a))
+        } yield FD((0 until arity).filter(b => (x & 1 << b) != 0).toSet, a)
+        for (f <- closed) assert(minimal.contains(f), s"seed $seed: $f is not a minimal implied FD of $fds")
+        for (f <- minimal) assert(closed.contains(f), s"seed $seed: $f is implied by $fds but missing")
+        checkedSemantics += 1
+      }
+    }
+    assert(checkedSemantics > 1000 && derivedNew > 200, s"$checkedSemantics, $derivedNew") // 1431, 358
+  }
+
+  test("violation names two rows that agree on the LHS and differ on the RHS") {
+    val inst = Instance(Vector("A", "B", "C"), Vector(Vector(1, 5, 0), Vector(2, 6, 0), Vector(1, 7, 0)))
+    assert(FDs.violation(inst, FD(Set(0), 1)) == Some((0, 2)))
+    assert(FDs.violation(inst, FD(Set.empty[Int], 1)) == Some((0, 1)))
+    assert(FDs.violation(inst, FD(Set(1), 0)).isEmpty)
+    assert(FDs.violation(inst, FD(Set.empty[Int], 2)).isEmpty)
+    assert(FDs.violation(inst, FD(Set(0, 1), 1)).isEmpty) // trivial
+  }
 }

@@ -119,6 +119,15 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
     assert(math.abs(mat(Pos(0, 2)) - 0.875) < 0.02)
   }
 
+  test("matrixLocal rejects an FD that does not hold, naming it and two rows") {
+    val ex34 = Instance(
+      Vector("A", "B", "C", "D"),
+      Vector(Vector(7, 2, 8, 4), Vector(5, 2, 8, 6), Vector(7, 2, 8, 6)),
+    )
+    val e = intercept[IllegalArgumentException](MonteCarlo.matrixLocal(ex34, Vector(FD(Set(0), 3)), 1000))
+    assert(e.getMessage.contains("A -> D") && e.getMessage.contains("rows 0 and 2"), e.getMessage)
+  }
+
   // --- Spark-distributed sampler -------------------------------------------
 
   test("estimateSpark matches the exact value within MC accuracy") {

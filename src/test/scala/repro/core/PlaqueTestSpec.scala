@@ -123,4 +123,20 @@ class PlaqueTestSpec extends AnyFunSuite with SparkSpec {
     assert(res.entropies(0)(2) < 1.0)
     assert(res.nonUnique.contains(Pos(0, 2)))
   }
+
+  // An FD that does not hold: rows 0 and 2 agree on A but differ on D.
+  private val violated = Vector(FD(Set(0), 2), FD(Set(0), 3))
+
+  private def assertRejected(body: => Any): Unit = {
+    val e = intercept[IllegalArgumentException](body)
+    assert(e.getMessage.contains("A -> D") && e.getMessage.contains("rows 0 and 2"), e.getMessage)
+  }
+
+  test("run rejects an FD that does not hold, naming it and two rows") {
+    assertRejected(PlaqueTest.run(spark, ex34, violated, 1000))
+  }
+
+  test("runExact rejects an FD that does not hold, naming it and two rows") {
+    assertRejected(PlaqueTest.runExact(ex34, violated))
+  }
 }

@@ -49,6 +49,56 @@ object TestGen {
     throw new IllegalStateException(s"no repairable instance for seed $seed")
   }
 
+  /** The pairwise pseudo-transitivity fixpoint that `FDs.closure` replaced,
+    * kept as its oracle: the output must match element for element and in
+    * order.
+    */
+  def referenceClosure(fds: Seq[FD]): Vector[FD] = {
+    var known = FDs.minimize(fds).toSet
+    var changed = true
+    while (changed) {
+      changed = false
+      val derived = for {
+        f <- known.iterator
+        g <- known.iterator
+        if g.lhs.contains(f.rhs)
+        cand = FD(f.lhs ++ (g.lhs - f.rhs), g.rhs)
+        if !cand.trivial
+        if !known.exists(h => h.rhs == cand.rhs && h.lhs.subsetOf(cand.lhs))
+      } yield cand
+      val fresh = derived.toSet
+      if (fresh.nonEmpty) {
+        // Re-minimize: a new FD may subsume previously known ones.
+        known = FDs.minimize((known ++ fresh).toSeq).toSet
+        changed = true
+      }
+    }
+    known.toVector.sortBy(f => (f.rhs, f.lhs.size, f.lhs.toSeq.sorted.mkString(",")))
+  }
+
+  /** A random FD set over `arity` ∈ [2, 8] columns with 0–10 FDs, mixing in
+    * empty LHSs, trivial FDs, duplicates and reversed (cyclic) FDs.
+    */
+  def fdSet(seed: Long): (Int, Vector[FD]) = {
+    val rng = new Random(seed)
+    val arity = 2 + rng.nextInt(7)
+    val fds = Vector.newBuilder[FD]
+    var last = Option.empty[FD]
+    for (_ <- 0 until rng.nextInt(11)) {
+      val fd = (rng.nextInt(5), last) match {
+        case (0, Some(f)) => f // duplicate
+        case (1, Some(f)) if f.lhs.nonEmpty => FD(Set(f.rhs), f.lhs.head) // cycle
+        case _ =>
+          val rhs = rng.nextInt(arity)
+          val density = rng.nextDouble() * 0.6 // a low density often gives an empty LHS
+          FD((0 until arity).filter(_ => rng.nextDouble() < density).toSet, rhs) // may be trivial
+      }
+      fds += fd
+      last = Some(fd)
+    }
+    (arity, fds.result())
+  }
+
   /** A random subset of positions excluding `p`. */
   def randomQ(inst: Instance, p: Pos, rng: Random): Set[Pos] =
     inst.positions.filterNot(_ == p).filter(_ => rng.nextBoolean()).toSet

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.SparkSpec
 import repro.core._
+import repro.exp.Experiments
 import repro.fdiscovery.FDDiscovery
 
 /** Structural guarantees of the dataset mimics: the redundancy skeleton each
@@ -245,5 +246,30 @@ class DatasetsSpec extends AnyFunSuite with SparkSpec {
       val maxLhs = if (name == "iris") 1 else 2
       assert(Fulfills.holdsAll(i, FDs.closure(fds(name, maxLhs))))
     }
+  }
+
+  // --- closure on the discovered FDs ----------------------------------------
+
+  private def prepared(name: String): Vector[FD] = Experiments.prepare(spark, name).fds
+
+  for (name <- Seq("satellites", "adult", "echocardiogram", "ncvoter", "iris")) {
+    test(s"$name: closure of the discovered FDs is idempotent") {
+      val closed = FDs.closure(prepared(name))
+      assert(FDs.closure(closed) == closed)
+    }
+  }
+
+  for (name <- Seq("satellites", "adult", "echocardiogram", "iris")) {
+    test(s"$name: closure of the discovered FDs equals the pairwise fixpoint") {
+      assert(FDs.closure(prepared(name)) == TestGen.referenceClosure(prepared(name)))
+    }
+  }
+
+  test("ncvoter: the discovered FDs are already closed (1,734 -> 1,734)") {
+    // The pairwise fixpoint takes seconds here, so compare with the known fact.
+    val found = prepared("ncvoter")
+    val closed = FDs.closure(found)
+    assert(closed.size == 1734)
+    assert(closed.toSet == FDs.minimize(found).toSet)
   }
 }

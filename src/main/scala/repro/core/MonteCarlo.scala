@@ -9,8 +9,21 @@ import org.apache.spark.sql.SparkSession
   * Samples subsets `Q ⊆ Pos∖{p}` uniformly (every cell deleted independently
   * with probability ½) and averages `X(Q) ∈ {0,1}`. Cells outside every
   * witness clause of `p` never influence `X`, so only clause cells are
-  * sampled — the distribution of `X` is identical, each iteration is
-  * O(#clauses) via bitmask words.
+  * sampled — the distribution of `X` is identical.
+  *
+  * The sampler is bit-sliced: 64 samples run at once, one per bit lane.
+  * Word `v` of a batch holds clause cell `v` of all 64 samples (bit `i` set =
+  * the cell is deleted in sample `i`), drawn as one uniform `nextLong`. A
+  * clause is hit in the lanes of the OR of its cells' words, and `X = 1` in
+  * the lanes of the AND over all clauses. Each lane's cells are independent
+  * fair coins, so every sample has the §3.2 distribution and the Thm. 3.6
+  * bound holds unchanged.
+  *
+  * Every non-unique cell's budget is cut into blocks of 25 000 iterations,
+  * and block `b` of cell `p` draws from a generator seeded by a pure function
+  * of `(seed, p.row, p.col, b)`. [[matrixLocal]] runs the blocks in a loop,
+  * [[estimateSpark]] as the tasks of one shuffle-free Spark stage; both sum
+  * the same integer hit counts, so they return identical matrices.
   */
 object MonteCarlo {
 
@@ -33,6 +46,11 @@ object MonteCarlo {
   /** Clause set pre-lowered to bitmask words over its cell union. */
   final case class MaskedClauses(nVars: Int, masks: Array[Array[Long]]) {
     def nWords: Int = (nVars + 63) >>> 6
+
+    /** Cell indices of every clause, decoded from `masks` once. */
+    private[core] lazy val vars: Array[Array[Int]] = masks.map { m =>
+      (0 until nVars).filter(v => (m(v >>> 6) & (1L << (v & 63))) != 0L).toArray
+    }
   }
 
   /** Lower clauses over positions to packed bitmasks. */
@@ -54,52 +72,79 @@ object MonteCarlo {
   /** One MC estimate: fraction of sampled deletions that hit every clause. */
   def estimate(mc: MaskedClauses, iters: Long, seed: Long): Double = {
     require(iters > 0, s"iteration count must be positive, got $iters")
-    if (mc.masks.isEmpty) return 1.0
-    val rng = new SplittableRandom(seed)
-    val nWords = mc.nWords
-    val sample = new Array[Long](nWords)
-    var hits = 0L
-    var it = 0L
-    while (it < iters) {
-      var w = 0
-      while (w < nWords) { sample(w) = rng.nextLong(); w += 1 }
-      var ok = true
+    hits(mc, iters, new SplittableRandom(seed)).toDouble / iters
+  }
+
+  /** Number of `iters` samples from `rng` that hit every clause, 64 per batch. */
+  private def hits(mc: MaskedClauses, iters: Long, rng: SplittableRandom): Long = {
+    val clauses = mc.vars
+    val deleted = new Array[Long](mc.nVars)
+    var total = 0L
+    var left = iters
+    while (left > 0) {
+      var v = 0
+      while (v < deleted.length) { deleted(v) = rng.nextLong(); v += 1 }
+      // Lanes still hitting every clause; the last batch counts `left` lanes.
+      var alive = if (left >= 64) -1L else (1L << left) - 1
       var ci = 0
-      while (ok && ci < mc.masks.length) {
-        val cm = mc.masks(ci)
-        var any = false
-        var wi = 0
-        while (!any && wi < nWords) {
-          if ((cm(wi) & sample(wi)) != 0L) any = true
-          wi += 1
-        }
-        if (!any) ok = false
+      while (alive != 0L && ci < clauses.length) {
+        val c = clauses(ci)
+        var hit = 0L
+        var k = 0
+        while (k < c.length) { hit |= deleted(c(k)); k += 1 }
+        alive &= hit
         ci += 1
       }
-      if (ok) hits += 1
-      it += 1
+      total += java.lang.Long.bitCount(alive)
+      left -= 64
     }
-    hits.toDouble / iters
+    total
+  }
+
+  /** Iterations per block; the block index enters the block's seed. */
+  private val BlockIters = 25000L
+
+  /** `(block index, iterations)` of every block of an `iters` budget. */
+  private def blocks(iters: Long): Seq[(Long, Long)] =
+    (0L until (iters + BlockIters - 1) / BlockIters).map(b => (b, math.min(BlockIters, iters - b * BlockIters)))
+
+  /** Hits of block `b` (`n` iterations) of cell `p`, seeded by a pure
+    * function of `(seed, p.row, p.col, b)` so that any schedule of the blocks
+    * sums to the same count.
+    */
+  private def blockHits(mc: MaskedClauses, p: Pos, seed: Long, b: Long, n: Long): Long = {
+    val s = Seq(p.row.toLong, p.col.toLong, b).foldLeft(seed)((h, x) => mix64(h + (x + 1) * 0x9e3779b97f4a7c15L))
+    hits(mc, n, new SplittableRandom(s))
+  }
+
+  /** SplitMix64's finalizer (Stafford's Mix13). */
+  private def mix64(z0: Long): Long = {
+    val z1 = (z0 ^ (z0 >>> 30)) * 0xbf58476d1ce4e5b9L
+    val z2 = (z1 ^ (z1 >>> 27)) * 0x94d049bb133111ebL
+    z2 ^ (z2 >>> 31)
   }
 
   /** Local MC entropy matrix: unique positions get exactly 1.0 (Prop. 3.2),
-    * the others are estimated with `iters` samples each, cell `(j, k)` from
-    * seed `seed ^ (j << 20) ^ k`.
+    * the others are estimated with `iters` samples each, in the same blocks
+    * and with the same seeds as [[estimateSpark]], so
+    * `PlaqueTest.run(spark, inst, fds, iters, seed)` gives the same values.
     */
-  def matrixLocal(inst: Instance, fds: Seq[FD], iters: Long, seed: Long = 42): Map[Pos, Double] =
+  def matrixLocal(inst: Instance, fds: Seq[FD], iters: Long, seed: Long = 42): Map[Pos, Double] = {
+    require(iters > 0, s"iteration count must be positive, got $iters")
     PlaqueTest.pipeline(inst, fds, iters)(_.map { case (p, cls) =>
-      p -> estimate(mask(cls), iters, seed ^ (p.row.toLong << 20) ^ p.col)
+      val mc = mask(cls)
+      p -> blocks(iters).map { case (b, n) => blockHits(mc, p, seed, b, n) }.sum.toDouble / iters
     }).byPosition
-
-  /** Iterations per [[estimateSpark]] task; the block index enters the task seed. */
-  private val BlockIters = 25000L
+  }
 
   /** Distributed MC entropy estimates for the given positions.
     *
-    * The clause sets are broadcast; the iteration budget of every position is
-    * split into blocks that Spark schedules across cores/executors as a
-    * `Dataset[(position, block)]`; partial hit counts are summed with a
-    * `groupBy`/`sum` aggregation.
+    * The masked clause sets are broadcast, and every (position, block) pair
+    * is one element of an RDD; the job is a single stage of
+    * `min(#blocks, 4 · defaultParallelism)` tasks whose `(position, n, hits)`
+    * triples are collected and summed on the driver — no shuffle. A position
+    * whose collected blocks do not add up to `iters` iterations is an
+    * `IllegalStateException`, never a silent 0.
     *
     * @return per-position estimates for exactly the keys of `clausesByPos`
     */
@@ -109,34 +154,29 @@ object MonteCarlo {
       iters: Long,
       seed: Long = 42,
   ): Map[Pos, Double] = {
-    import spark.implicits._
     require(iters > 0, s"iteration count must be positive, got $iters")
     if (clausesByPos.isEmpty) return Map.empty
-    val posList = clausesByPos.keys.toVector.sortBy(p => (p.row, p.col))
-    val masked = posList.map(p => mask(clausesByPos(p))).toArray
-    val bc = spark.sparkContext.broadcast(masked)
-
-    val tasks = for {
-      pi <- posList.indices
-      b <- 0L until (iters + BlockIters - 1) / BlockIters
-    } yield (pi, b, math.min(BlockIters, iters - b * BlockIters))
-
-    val hitsByPos = tasks
-      .toDS()
-      .repartition(math.min(tasks.size, spark.sparkContext.defaultParallelism * 4))
+    val sc = spark.sparkContext
+    val cells = clausesByPos.toArray.map { case (p, cls) => (p, mask(cls)) }
+    val bc = sc.broadcast(cells)
+    val tasks = for (pi <- cells.indices; (b, n) <- blocks(iters)) yield (pi, b, n)
+    val done = sc
+      .parallelize(tasks, math.min(tasks.size, 4 * sc.defaultParallelism))
       .map { case (pi, b, n) =>
-        val h = estimate(bc.value(pi), n, seed ^ (pi.toLong * 0x9e3779b97f4a7c15L) ^ b) * n
-        (pi, math.round(h))
+        val (p, mc) = bc.value(pi)
+        (pi, n, blockHits(mc, p, seed, b, n))
       }
-      .groupByKey(_._1)
-      .mapValues(_._2)
-      .reduceGroups(_ + _)
       .collect()
-      .toMap
+    bc.destroy()
 
-    bc.unpersist()
-    posList.zipWithIndex.map { case (p, pi) =>
-      p -> hitsByPos.getOrElse(pi, 0L).toDouble / iters
+    val sampled = new Array[Long](cells.length)
+    val hit = new Array[Long](cells.length)
+    for ((pi, n, h) <- done) { sampled(pi) += n; hit(pi) += h }
+    cells.indices.map { pi =>
+      val p = cells(pi)._1
+      if (sampled(pi) != iters)
+        throw new IllegalStateException(s"MC blocks of position $p cover ${sampled(pi)} of $iters iterations")
+      p -> hit(pi).toDouble / iters
     }.toMap
   }
 }

@@ -82,7 +82,8 @@ object PlaqueTest {
     }
   }
 
-  /** Run the plaque test with Spark-distributed Monte Carlo.
+  /** Run the plaque test with Spark-distributed Monte Carlo. The entropies
+    * equal `MonteCarlo.matrixLocal(inst, fds, iterations, seed)` exactly.
     *
     * @param fds        the FD set `F` (closure is computed internally)
     * @param iterations MC iterations per non-unique cell

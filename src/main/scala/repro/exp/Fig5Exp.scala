@@ -10,10 +10,12 @@ import repro.core._
   *
   * The paper measures its single-threaded prototype, so this grid times the
   * single-threaded sampler, [[MonteCarlo.matrixLocal]] (closure + clauses +
-  * per-position MC) — the Spark-distributed sampler used by Figs. 3/6 hides
-  * the per-iteration scaling behind fixed job-scheduling overhead at these
-  * problem sizes. The reproduced signals are runtime ≈ linear in iterations
-  * and growing with the row count.
+  * per-position MC). It computes the same matrix as the Spark stage used by
+  * Figs. 3/6, whose fixed job overhead would hide the per-iteration scaling
+  * at these problem sizes. The sampler is bit-sliced (64 samples per machine
+  * word), so one iteration costs about a 64th of a clause pass. The
+  * reproduced signals are runtime ≈ linear in iterations and growing with the
+  * row count.
   */
 object Fig5Exp {
 

@@ -1,8 +1,10 @@
 package repro.core
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerStageCompleted}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.SparkSpec
+import repro.exp.Experiments
 
 class MonteCarloSpec extends AnyFunSuite with SparkSpec {
 
@@ -174,6 +176,86 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
           assert(math.abs(e - exact) < 0.025, s"seed=$seed p=$p spark=$e exact=$exact")
         }
       }
+    }
+  }
+
+  // --- Bit-sliced sampler and the block seeds shared by local and Spark ------
+
+  test("estimate counts exactly n samples for batch-boundary iteration counts") {
+    val mc = MonteCarlo.mask(Vector(Set(Pos(0, 0), Pos(1, 0)), Set(Pos(2, 1))))
+    for (n <- Seq(1L, 63L, 64L, 65L, 127L, 180001L); s <- 0L until 5L) {
+      val h = MonteCarlo.estimate(mc, n, s) * n
+      assert(math.abs(h - math.round(h)) < 1e-6 && h >= 0 && h <= n, s"n=$n seed=$s hits=$h")
+    }
+  }
+
+  test("estimate with one iteration counts only one lane: mean over 2,000 seeds ≈ 1/2") {
+    val mc = MonteCarlo.mask(Vector(Set(Pos(0, 0))))
+    val mean = (0L until 2000L).map(s => MonteCarlo.estimate(mc, 1, s)).sum / 2000
+    assert(math.abs(mean - 0.5) < 0.05, s"got $mean")
+  }
+
+  test("a clause across the word boundary (cells 63 and 64) converges to 3/4") {
+    val mc = MonteCarlo.MaskedClauses(65, Array(Array(1L << 63, 1L)))
+    assert(mc.nWords == 2 && mc.vars.map(_.toSeq).toSeq == Seq(Seq(63, 64)))
+    val e = MonteCarlo.estimate(mc, 200000, 9)
+    assert(math.abs(e - 0.75) < 0.01, s"got $e")
+  }
+
+  test("run ≡ matrixLocal exactly on the satellites mimic and random instances (180,001 iterations)") {
+    val sat = Experiments.prepare(spark, "satellites")
+    val cases = (sat.inst, sat.fds, 1L) +: (600 until 605).map { seed =>
+      val (inst, fds) = TestGen.instanceWithFds(seed)
+      (inst, fds, seed.toLong)
+    }
+    for ((inst, fds, seed) <- cases) {
+      val run = PlaqueTest.run(spark, inst, fds, 180001, seed)
+      val local = MonteCarlo.matrixLocal(inst, fds, 180001, seed)
+      for (p <- inst.positions) assert(run.entropy(p) == local(p), s"seed=$seed p=$p")
+    }
+  }
+
+  test("estimateSpark runs one job of one stage with no shuffle write") {
+    val group = "mc-one-stage"
+    var jobs = Vector.empty[Int]
+    var stages = Set.empty[Int]
+    var ended = 0
+    var shuffleWrite = 0L
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group)) {
+          jobs :+= e.jobId
+          stages ++= e.stageIds
+        }
+      }
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit = synchronized {
+        if (stages(e.stageInfo.stageId))
+          shuffleWrite += e.stageInfo.taskMetrics.shuffleWriteMetrics.bytesWritten
+      }
+      override def onJobEnd(e: SparkListenerJobEnd): Unit = synchronized {
+        if (jobs.contains(e.jobId)) ended += 1
+      }
+    }
+    val sc = spark.sparkContext
+    val ex34 = Instance(
+      Vector("A", "B", "C", "D"),
+      Vector(Vector(7, 2, 8, 4), Vector(5, 2, 8, 6), Vector(7, 2, 8, 6)),
+    )
+    val clauses = Clauses.forAllPositions(ex34, Vector(FD(Set(0), 2))).map { case (p, c) => p -> (c: Seq[Set[Pos]]) }
+    assert(clauses.size == 2)
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "estimateSpark")
+      try MonteCarlo.estimateSpark(spark, clauses, 100000, 3)
+      finally sc.clearJobGroup()
+      val deadline = System.nanoTime() + 30000000000L
+      while (listener.synchronized(ended < jobs.size || jobs.isEmpty) && System.nanoTime() < deadline)
+        Thread.sleep(10)
+    } finally sc.removeSparkListener(listener)
+    listener.synchronized {
+      assert(jobs.size == 1, s"jobs $jobs")
+      assert(ended == 1 && stages.size == 1, s"stages $stages")
+      assert(shuffleWrite == 0L)
     }
   }
 }

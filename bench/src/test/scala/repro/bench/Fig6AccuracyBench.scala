@@ -10,7 +10,8 @@ import repro.exp.Fig6Exp
   * (paper: 1k vs 1M — 1000×; here 1k vs 100k, same statistical regime).
   *
   * Paper reference: max cell difference ≈ 0.048; 117 cells below 1; only 9
-  * cells differ by more than 0.02.
+  * cells differ by more than 0.02. Beyond the paper: the high run's largest
+  * error against the exact matrix stays within its ε at δ = 10⁻⁶.
   */
 class Fig6AccuracyBench extends AnyFunSuite with SparkSpec {
 
@@ -32,6 +33,10 @@ class Fig6AccuracyBench extends AnyFunSuite with SparkSpec {
   test("Fig. 6: only a small minority of cells differ by more than 0.02") {
     assert(cmp.cellsDiffAbove002 < cmp.cellsBelowOne / 2,
       s"${cmp.cellsDiffAbove002} of ${cmp.cellsBelowOne}")
+  }
+
+  test("Fig. 6: the high run's true error is within its Thm. 3.6 bound") {
+    assert(cmp.maxExactDiff <= cmp.highEps, s"max |high - exact| ${cmp.maxExactDiff} > eps ${cmp.highEps}")
   }
 
   test("Fig. 6: unique cells agree exactly between the two runs") {

@@ -1,38 +1,59 @@
 package repro.core
 
-/** Exact entropy computation with the paper's optimizations, plus a
-  * clause-based fast-exact variant used as a test oracle.
+/** Exact entropy computation with the paper's optimizations, plus the
+  * clause-based exact evaluation behind `PlaqueTest.runExact`.
   */
 object ExactEntropy {
+
+  /** Why an exact run stopped before computing every position. */
+  sealed trait Abort
+  object Abort {
+
+    /** The time budget elapsed (the paper's "–"). */
+    case object Budget extends Abort
+
+    /** [[optimized]] refused to enumerate a reduced subtable of `cells`
+      * cells (more than 62, so 2^cells subsets overflow the loop counter).
+      */
+    final case class Oversized(cells: Int) extends Abort
+  }
 
   /** Result of an exact run over a whole instance.
     *
     * @param entropies per-position values computed so far (complete iff
     *                  `!aborted`); unique positions are reported as 1.0
-    * @param aborted   true iff the time budget elapsed (paper: "–")
     * @param elapsedMs wall-clock time spent
+    * @param abort     why the run stopped early, if it did
     */
-  final case class Result(entropies: Map[Pos, Double], aborted: Boolean, elapsedMs: Long)
+  final case class Result(entropies: Map[Pos, Double], elapsedMs: Long, abort: Option[Abort] = None) {
+
+    /** True for either kind of [[Abort]] (Table 1 prints both as "–"). */
+    def aborted: Boolean = abort.nonEmpty
+  }
 
   /** The paper's "Unoptimized" configuration: Prop. 2.9 on the full instance
-    * for every position.
+    * for every position. Rejects an FD that does not hold in `inst`
+    * ([[FDs.requireHolds]]).
     */
   def naive(inst: Instance, fds: Seq[FD], budgetMs: Long = Long.MaxValue): Result = {
+    FDs.requireHolds(inst, fds)
     val t0 = System.nanoTime()
     val closed = FDs.closure(fds)
     val res = NaiveEntropy.matrix(inst, closed, budgetMs)
     val ms = (System.nanoTime() - t0) / 1000000L
     res match {
-      case Some(mat) => Result(mat, aborted = false, ms)
-      case None      => Result(Map.empty, aborted = true, ms)
+      case Some(mat) => Result(mat, ms)
+      case None      => Result(Map.empty, ms, Some(Abort.Budget))
     }
   }
 
   /** The paper's "Optimized" configuration: Prop. 3.2 (skip unique cells) +
     * Prop. 3.3 (reduce to `I(J₀,K₀)`), then Prop. 2.9 enumeration on the
-    * subtable for each remaining position.
+    * subtable for each remaining position. Rejects an FD that does not hold
+    * in `inst` ([[FDs.requireHolds]]).
     */
   def optimized(inst: Instance, fds: Seq[FD], budgetMs: Long = Long.MaxValue): Result = {
+    FDs.requireHolds(inst, fds)
     val t0 = System.nanoTime()
     val deadline = if (budgetMs == Long.MaxValue) Long.MaxValue else t0 + budgetMs * 1000000L
     def elapsed: Long = (System.nanoTime() - t0) / 1000000L
@@ -41,12 +62,12 @@ object ExactEntropy {
     val nonUnique = Uniqueness.nonUniquePositions(inst, closed)
     val ones = inst.positions.filterNot(nonUnique).map(_ -> 1.0)
 
-    if (nonUnique.isEmpty) return Result(ones.toMap, aborted = false, elapsed)
+    if (nonUnique.isEmpty) return Result(ones.toMap, elapsed)
 
     val red = Reduction.reduce(inst, closed)
     val subFds = red.mapFds(closed)
     // The subtable can still be too large to enumerate (2^cells subsets).
-    if (red.sub.nCells > 62) return Result(ones.toMap, aborted = true, elapsed)
+    if (red.sub.nCells > 62) return Result(ones.toMap, elapsed, Some(Abort.Oversized(red.sub.nCells)))
 
     val out = Map.newBuilder[Pos, Double]
     out ++= ones
@@ -54,45 +75,70 @@ object ExactEntropy {
       val pSub = red.toSub(pFull).getOrElse(
         throw new IllegalStateException(s"non-unique position $pFull outside I(J0,K0)"))
       val e = NaiveEntropy.compute(red.sub, subFds, pSub, maxCells = 62, deadlineNanos = deadline)
-      if (e.isNaN) return Result(ones.toMap, aborted = true, elapsed)
+      if (e.isNaN) return Result(ones.toMap, elapsed, Some(Abort.Budget))
       out += pFull -> e
     }
-    Result(out.result(), aborted = false, elapsed)
+    Result(out.result(), elapsed)
   }
 
   /** Largest clause-cell union [[viaClauses]] enumerates (2^26 subsets). */
   private val MaxVars = 26
 
+  /** Lane patterns of clause cells 0–5: lane `l` of word `v` is bit `v` of `l`. */
+  private val LowCells = Array(
+    0xaaaaaaaaaaaaaaaaL, 0xccccccccccccccccL, 0xf0f0f0f0f0f0f0f0L,
+    0xff00ff00ff00ff00L, 0xffff0000ffff0000L, 0xffffffff00000000L)
+
   /** Fast exact value via witness clauses: cells appearing in no clause of
     * `p` cannot influence fulfilment, so it suffices to enumerate the subsets
     * of the clause-cell union (each outside cell contributes a factor
     * `2 / 2 = 1`). Exact, and exponential only in the number of *involved*
-    * cells — used as the ground truth for Monte-Carlo convergence tests.
+    * cells.
+    *
+    * The `2^n` subsets are evaluated as a truth table, 64 per word: lane `l`
+    * of word `w` is the subset `(w << 6) | l` (bit `v` set = clause cell `v`
+    * deleted). Cells 0–5 vary across lanes as the fixed [[LowCells]]
+    * patterns; cells 6 and up are constant within a word, given by `w`'s
+    * bits. A clause is hit in every lane of `w` if one of its high cells is
+    * set in `w`, and otherwise in the OR of its low cells' patterns. A word's
+    * hits are the AND over clauses (early exit once no lane is left),
+    * counted with `Long.bitCount`; for `n < 6` only the low `2^n` lanes of
+    * the single word count. Returns `hits / 2^n`, bit for bit what a
+    * subset-at-a-time loop gives.
     */
-  def viaClauses(clauses: Seq[Set[Pos]]): Double = {
+  def viaClauses(clauses: Seq[Set[Pos]]): Double = truthTable(clauses, "")
+
+  /** [[viaClauses]] for the clauses of `p`; a refusal names `p`. */
+  private[core] def viaClauses(p: Pos, clauses: Seq[Set[Pos]]): Double = truthTable(clauses, s" of position $p")
+
+  private def truthTable(clauses: Seq[Set[Pos]], of: => String): Double = {
     if (clauses.isEmpty) return 1.0
     val mc = MonteCarlo.mask(clauses)
-    require(mc.nVars <= MaxVars, s"clause-cell union of ${mc.nVars} cells refused")
+    val n = mc.nVars
+    require(n <= MaxVars, s"clause-cell union$of has $n cells, more than the $MaxVars exact enumeration allows")
     // MaxVars < 64, so every clause fits in word 0.
-    val masks = mc.masks.map(_.headOption.getOrElse(0L))
-    val total = 1L << mc.nVars
-    var hit = 0L
-    var mask = 0L
-    while (mask < total) {
-      var ok = true
+    val bits = mc.masks.map(_.headOption.getOrElse(0L))
+    val high = bits.map(_ >>> 6)
+    val low = bits.map(b => (0 until 6).foldLeft(0L)((acc, v) => if ((b & 1L << v) != 0L) acc | LowCells(v) else acc))
+    val lanes = if (n >= 6) -1L else (1L << (1 << n)) - 1
+    val words = 1L << math.max(n - 6, 0)
+    var hits = 0L
+    var w = 0L
+    while (w < words) {
+      var alive = lanes
       var i = 0
-      while (ok && i < masks.length) {
-        if ((masks(i) & mask) == 0L) ok = false
+      while (alive != 0L && i < low.length) {
+        if ((high(i) & w) == 0L) alive &= low(i)
         i += 1
       }
-      if (ok) hit += 1
-      mask += 1
+      hits += java.lang.Long.bitCount(alive)
+      w += 1
     }
-    hit.toDouble / total
+    hits.toDouble / (1L << n)
   }
 
-  /** Clause-based exact entropy matrix (requires every position's clause-cell
-    * union to be small).
+  /** Clause-based exact entropy matrix (every position's clause-cell union
+    * must have at most 26 cells).
     */
   def clauseMatrix(inst: Instance, fds: Seq[FD]): Map[Pos, Double] =
     PlaqueTest.runExact(inst, fds).byPosition

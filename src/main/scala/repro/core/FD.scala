@@ -59,6 +59,15 @@ object FDs {
     None
   }
 
+  /** Throws an `IllegalArgumentException` naming the first FD of `fds` that
+    * does not hold in `inst` and two rows that violate it. Every entropy
+    * computation assumes `I ⊨ F` and checks it here.
+    */
+  def requireHolds(inst: Instance, fds: Seq[FD]): Unit =
+    for (f <- fds; (i, j) <- violation(inst, f))
+      throw new IllegalArgumentException(
+        s"FD ${f.render(inst.attrs)} does not hold: rows $i and $j agree on its LHS but differ on ${inst.attrs(f.rhs)}")
+
   /** Drop trivial FDs, duplicates, and FDs subsumed by another FD with the
     * same RHS and a subset LHS. The result determines the same minimal
     * witness clauses as the input.

@@ -97,11 +97,12 @@ object PlaqueTest {
   ): Result =
     pipeline(inst, fds, iterations)(MonteCarlo.estimateSpark(spark, _, iterations, seed))
 
-  /** Run the plaque test with *exact* clause-based entropies (small problems
-    * and tests only).
+  /** Run the plaque test with *exact* clause-based entropies. A position
+    * whose clause-cell union exceeds 26 cells is an
+    * `IllegalArgumentException` naming the position and the union size.
     */
   def runExact(inst: Instance, fds: Seq[FD]): Result =
-    pipeline(inst, fds, 0L)(_.map { case (p, cls) => p -> ExactEntropy.viaClauses(cls) })
+    pipeline(inst, fds, 0L)(_.map { case (p, cls) => p -> ExactEntropy.viaClauses(p, cls) })
 
   /** Convenience entry point from a DataFrame with name-level FDs. */
   def fromDataFrame(
@@ -123,14 +124,11 @@ object PlaqueTest {
     * for each of its keys.
     *
     * The clause reformulation assumes `I ⊨ F` (hence `I ⊨ F*`), so an FD
-    * that does not hold is rejected with an `IllegalArgumentException`
-    * naming it and two violating rows.
+    * that does not hold is rejected ([[FDs.requireHolds]]).
     */
   private[core] def pipeline(inst: Instance, fds: Seq[FD], iterations: Long)(
       estimate: Map[Pos, Vector[Set[Pos]]] => Map[Pos, Double]): Result = {
-    for (f <- fds; (i, j) <- FDs.violation(inst, f))
-      throw new IllegalArgumentException(
-        s"FD ${f.render(inst.attrs)} does not hold: rows $i and $j agree on its LHS but differ on ${inst.attrs(f.rhs)}")
+    FDs.requireHolds(inst, fds)
     val closed = FDs.closure(fds)
     val below = estimate(Clauses.forAllPositions(inst, closed))
     val matrix = Vector.tabulate(inst.nRows, inst.arity) { (j, k) =>

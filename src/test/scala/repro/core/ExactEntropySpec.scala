@@ -74,6 +74,58 @@ class ExactEntropySpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](ExactEntropy.viaClauses(big))
   }
 
+  test("viaClauses accepts a 26-cell union and refuses a 27-cell one") {
+    // 13 disjoint 2-cell clauses: 3^13 of the 2^26 subsets hit every clause.
+    val pairs = Vector.tabulate(13)(i => Set(Pos(i, 0), Pos(i, 1)))
+    assert(ExactEntropy.viaClauses(pairs) == 1594323.0 / (1L << 26))
+    assert(TestGen.referenceViaClauses(pairs) == 1594323.0 / (1L << 26))
+    val e = intercept[IllegalArgumentException](ExactEntropy.viaClauses(pairs :+ Set(Pos(13, 0))))
+    assert(e.getMessage.contains("27 cells"), e.getMessage)
+  }
+
+  // The truth-table kernel against the subset-at-a-time loop it replaced:
+  // every union size up to 20 cells, so every partial word (n < 6), one full
+  // word (n = 6) and several words (n ≥ 7).
+  for (n <- 0 to 20) {
+    test(s"viaClauses ≡ referenceViaClauses on random clause sets with a $n-cell union") {
+      for (seed <- 0 until 25) {
+        val cls = TestGen.clauseSet(n, 1000L * n + seed)
+        assert(MonteCarlo.mask(cls).nVars == n)
+        assert(ExactEntropy.viaClauses(cls) == TestGen.referenceViaClauses(cls), s"seed $seed: $cls")
+      }
+    }
+  }
+
+  test("random clause sets include low-only, high-only, mixed and duplicated clauses") {
+    val sets = for (n <- 0 to 20; seed <- 0 until 25) yield TestGen.clauseSet(n, 1000L * n + seed)
+    def kinds(cls: Vector[Set[Pos]]): Seq[Long] = MonteCarlo.mask(cls).masks.toSeq.map(_.headOption.getOrElse(0L))
+    val bigger = sets.filter(cls => MonteCarlo.mask(cls).nVars > 6)
+    assert(bigger.count(kinds(_).exists(m => m != 0L && (m & ~63L) == 0L)) > 50, "low-only")
+    assert(bigger.count(kinds(_).exists(m => (m & 63L) == 0L)) > 50, "high-only")
+    assert(bigger.count(kinds(_).exists(m => (m & 63L) != 0L && (m & ~63L) != 0L)) > 50, "mixed")
+    assert(sets.count(cls => cls.distinct.size < cls.size) > 50, "duplicated")
+  }
+
+  test("viaClauses ≡ referenceViaClauses on low-only, high-only and duplicated clauses") {
+    val c = Vector.tabulate(16)(Pos(_, 0))
+    val low = Vector(Set(c(0), c(1)), Set(c(2)), Set(c(3), c(4), c(5)), Set(c(1), c(3)))
+    val cases = Vector(
+      low,
+      low.take(2),
+      low ++ low,
+      low :+ Set(c(6), c(7)) :+ Set(c(8)) :+ Set(c(9), c(10), c(11)),
+      low :+ Set(c(6), c(15)) :+ Set(c(6), c(15)) :+ Set(c(12), c(13), c(14)),
+      Vector(Set(c(0), c(6)), Set(c(1), c(7)), Set(c(2), c(3), c(4), c(5)), Set(c(8)), Set(c(8))),
+    )
+    for (cls <- cases) {
+      assert(ExactEntropy.viaClauses(cls) == TestGen.referenceViaClauses(cls), s"$cls")
+      assert(ExactEntropy.viaClauses(cls) == ExactEntropy.viaClauses(Clauses.minimize(cls)))
+    }
+    // Every clause of `low` lowers to cells 0–5, the appended ones to cells ≥ 6.
+    val m = MonteCarlo.mask(cases(3)).masks.map(_(0))
+    assert(m.take(4).forall(w => (w & ~63L) == 0L) && m.drop(4).forall(w => (w & 63L) == 0L))
+  }
+
   test("naive refuses oversized instances") {
     val big = Instance(Vector("A"), Vector.tabulate(40)(j => Vector(j)))
     assertThrows[IllegalArgumentException](NaiveEntropy.compute(big, closed, Pos(0, 0)))
@@ -87,6 +139,34 @@ class ExactEntropySpec extends AnyFunSuite {
   test("optimized with an expired budget aborts unless everything is unique") {
     val res = ExactEntropy.optimized(ex34, fds, budgetMs = 0L)
     assert(res.aborted)
+  }
+
+  test("optimized reports a budget abort as Abort.Budget") {
+    val res = ExactEntropy.optimized(ex34, fds, budgetMs = 0L)
+    assert(res.aborted && res.abort == Some(ExactEntropy.Abort.Budget))
+  }
+
+  test("optimized reports a refused >62-cell subtable as Abort.Oversized") {
+    // 32 rows sharing A: every B cell is non-unique, so I(J0, K0) is 32 × 2.
+    val wide = Instance(Vector("A", "B"), Vector.fill(32)(Vector(1, 2)))
+    val res = ExactEntropy.optimized(wide, Vector(FD(Set(0), 1)))
+    assert(res.aborted && res.abort == Some(ExactEntropy.Abort.Oversized(64)))
+  }
+
+  // Example 3.4 with A -> D added, which rows 0 and 2 violate.
+  private val violated = Vector(FD(Set(0), 2), FD(Set(0), 3))
+
+  private def assertRejected(body: => Any): Unit = {
+    val e = intercept[IllegalArgumentException](body)
+    assert(e.getMessage.contains("A -> D") && e.getMessage.contains("rows 0 and 2"), e.getMessage)
+  }
+
+  test("optimized rejects an FD that does not hold, naming it and two rows") {
+    assertRejected(ExactEntropy.optimized(ex34, violated))
+  }
+
+  test("naive rejects an FD that does not hold, naming it and two rows") {
+    assertRejected(ExactEntropy.naive(ex34, violated))
   }
 
   test("optimized on a redundancy-free instance is instant and all ones") {

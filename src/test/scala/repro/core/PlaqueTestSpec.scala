@@ -139,4 +139,21 @@ class PlaqueTestSpec extends AnyFunSuite with SparkSpec {
   test("runExact rejects an FD that does not hold, naming it and two rows") {
     assertRejected(PlaqueTest.runExact(ex34, violated))
   }
+
+  // A -> B with 28 rows sharing one A value: each B cell has 27 witness rows,
+  // so its clause-cell union is (j, A) plus (j', A) and (j', B) for each.
+  private val crowded = Instance(Vector("A", "B"), Vector.fill(28)(Vector(1, 2)))
+
+  private def assertOversized(body: => Any): Unit = {
+    val e = intercept[IllegalArgumentException](body)
+    assert(e.getMessage.matches("requirement failed: clause-cell union of position Pos\\(\\d+,1\\) has 55 cells.*"), e.getMessage)
+  }
+
+  test("runExact names the position and union size of a refused clause set") {
+    assertOversized(PlaqueTest.runExact(crowded, Vector(FD(Set(0), 1))))
+  }
+
+  test("clauseMatrix names the position and union size of a refused clause set") {
+    assertOversized(ExactEntropy.clauseMatrix(crowded, Vector(FD(Set(0), 1))))
+  }
 }

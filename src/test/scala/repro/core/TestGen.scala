@@ -99,6 +99,50 @@ object TestGen {
     (arity, fds.result())
   }
 
+  /** The subset-at-a-time enumeration that `ExactEntropy.viaClauses`
+    * replaced, kept as its oracle: the values must match bit for bit.
+    */
+  def referenceViaClauses(clauses: Seq[Set[Pos]]): Double = {
+    if (clauses.isEmpty) return 1.0
+    val mc = MonteCarlo.mask(clauses)
+    require(mc.nVars <= 26, s"clause-cell union of ${mc.nVars} cells refused")
+    // 26 < 64, so every clause fits in word 0.
+    val masks = mc.masks.map(_.headOption.getOrElse(0L))
+    val total = 1L << mc.nVars
+    var hit = 0L
+    var mask = 0L
+    while (mask < total) {
+      var ok = true
+      var i = 0
+      while (ok && i < masks.length) {
+        if ((masks(i) & mask) == 0L) ok = false
+        i += 1
+      }
+      if (ok) hit += 1
+      mask += 1
+    }
+    hit.toDouble / total
+  }
+
+  /** A random clause set whose clause-cell union is exactly the `n` cells
+    * `Pos(0, 0) … Pos(n − 1, 0)`: 1–8 clauses drawn with 1–4 cells each,
+    * every cell left undrawn added to a random clause, and sometimes one
+    * clause repeated.
+    * For `n = 0` it is either no clause or one empty clause.
+    */
+  def clauseSet(n: Int, seed: Long): Vector[Set[Pos]] = {
+    val rng = new Random(seed)
+    if (n == 0) return if (rng.nextBoolean()) Vector.empty else Vector(Set.empty)
+    val cells = Vector.tabulate(n)(Pos(_, 0))
+    val drawn = Array.fill(1 + rng.nextInt(8))(rng.shuffle(cells).take(1 + rng.nextInt(math.min(4, n))).toSet)
+    for (c <- cells if !drawn.exists(_.contains(c))) {
+      val k = rng.nextInt(drawn.length)
+      drawn(k) += c
+    }
+    val cls = drawn.toVector
+    if (rng.nextInt(3) == 0) cls :+ cls(rng.nextInt(cls.length)) else cls
+  }
+
   /** A random subset of positions excluding `p`. */
   def randomQ(inst: Instance, p: Pos, rng: Random): Set[Pos] =
     inst.positions.filterNot(_ == p).filter(_ => rng.nextBoolean()).toSet

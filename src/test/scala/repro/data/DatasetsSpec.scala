@@ -272,4 +272,19 @@ class DatasetsSpec extends AnyFunSuite with SparkSpec {
     assert(closed.size == 1734)
     assert(closed.toSet == FDs.minimize(found).toSet)
   }
+
+  // --- exact entropies ------------------------------------------------------
+
+  for (name <- Seq("satellites", "adult")) {
+    test(s"$name: runExact equals the subset-at-a-time reference at every position") {
+      val prep = Experiments.prepare(spark, name)
+      val res = PlaqueTest.runExact(prep.inst, prep.fds)
+      val clauses = Clauses.forAllPositions(prep.inst, FDs.closure(prep.fds))
+      assert(res.nonUnique == clauses.keySet && clauses.nonEmpty)
+      for (p <- prep.inst.positions) {
+        val want = clauses.get(p).fold(1.0)(TestGen.referenceViaClauses)
+        assert(res.entropy(p) == want, s"at $p")
+      }
+    }
+  }
 }

@@ -15,29 +15,22 @@ package repro.core
   *
   * Hence `(I_{Q←X})_{p←a} ⊨ F*` iff **every** witness clause contains at
   * least one position of `Q` — a monotone-CNF "hit every clause" condition.
+  * Uniqueness, the reduction and every estimator read [[forAllPositions]].
   * The equivalence with [[Fulfills.check]] is exercised property-style in the
   * test suite.
   */
 object Clauses {
 
-  /** All witness clauses for position `p` under the closed FD set. Clauses
-    * are minimized by subsumption (a superset clause is hit whenever its
-    * subset is, so it never changes the condition).
-    */
-  def forPosition(inst: Instance, closedFds: Seq[FD], p: Pos): Vector[Set[Pos]] = {
-    val raw = for {
-      fd <- closedFds.toVector
-      if fd.rhs == p.col && !fd.trivial
-      lhs = fd.lhs.toVector.sorted
-      base = lhs.map(c => inst.rows(p.row)(c))
-      j2 <- inst.rows.indices.toVector
-      if j2 != p.row && lhs.map(c => inst.rows(j2)(c)) == base
-    } yield lhs.map(c => Pos(p.row, c)).toSet ++ lhs.map(c => Pos(j2, c)) + Pos(j2, fd.rhs)
-    minimize(raw)
-  }
-
-  /** Witness clauses for every position, computed with one row-grouping pass
-    * per FD (O(Σ_fd rows · |lhs|) instead of per-position rescans).
+  /** The witness clauses of every non-unique position (the key set, Prop. 3.2;
+    * no value is empty), from one row-grouping pass per FD.
+    *
+    * `closedFds` must be `FDs.closure` output. Then no clause of a position
+    * contains another: a clause of `p = (j, B)` has one cell in column `B`,
+    * its witness row's, so nested clauses share the witness row and have
+    * nested LHSs, which the closure's per-RHS antichain rules out. As the
+    * closure is sorted by `(rhs, |lhs|, …)`, clauses come out by size
+    * (`2·|lhs| + 1` cells), the order `MonteCarlo.mask` numbers cells in.
+    * Other FD sets may yield a superset clause, which never changes `X(Q)`.
     */
   def forAllPositions(inst: Instance, closedFds: Seq[FD]): Map[Pos, Vector[Set[Pos]]] = {
     val acc = scala.collection.mutable.Map.empty[Pos, Vector[Set[Pos]]].withDefaultValue(Vector.empty)
@@ -51,18 +44,6 @@ object Clauses {
         acc(p) = acc(p) ++ cls
       }
     }
-    acc.view.mapValues(minimize).toMap
+    acc.toMap
   }
-
-  /** Remove duplicate clauses and clauses that are supersets of another. */
-  def minimize(clauses: Seq[Set[Pos]]): Vector[Set[Pos]] = {
-    val distinct = clauses.distinct.sortBy(_.size)
-    val kept = scala.collection.mutable.ArrayBuffer.empty[Set[Pos]]
-    for (c <- distinct if !kept.exists(_.subsetOf(c))) kept += c
-    kept.toVector
-  }
-
-  /** `X(Q)`: 1 iff deleting the cells in `q` breaks every witness clause. */
-  def eval(clauses: Seq[Set[Pos]], q: Set[Pos]): Boolean =
-    clauses.forall(c => c.exists(q.contains))
 }

@@ -68,17 +68,6 @@ object FDs {
       throw new IllegalArgumentException(
         s"FD ${f.render(inst.attrs)} does not hold: rows $i and $j agree on its LHS but differ on ${inst.attrs(f.rhs)}")
 
-  /** Drop trivial FDs, duplicates, and FDs subsumed by another FD with the
-    * same RHS and a subset LHS. The result determines the same minimal
-    * witness clauses as the input.
-    */
-  def minimize(fds: Seq[FD]): Vector[FD] = {
-    val nontrivial = fds.filterNot(_.trivial).distinct
-    nontrivial.filterNot { f =>
-      nontrivial.exists(g => g != f && g.rhs == f.rhs && g.lhs.subsetOf(f.lhs))
-    }.toVector
-  }
-
   /** The closure `F*` of `fds`: every non-trivial implied FD with a minimal
     * LHS, sorted by `(rhs, |lhs|, lhs)`.
     *

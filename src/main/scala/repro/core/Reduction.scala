@@ -35,7 +35,7 @@ object Reduction {
 
   /** Compute `I(J₀, K₀)` for the given (closed) FD set. */
   def reduce(inst: Instance, fds: Seq[FD]): Reduced = {
-    val j0 = Uniqueness.nonUniqueRows(inst, fds).toVector.sorted
+    val j0 = Uniqueness.nonUniquePositions(inst, fds).map(_.row).toVector.sorted
     val k0 = fds.filterNot(_.trivial).flatMap(f => f.lhs + f.rhs).distinct.sorted.toVector
     Reduced(inst.subInstance(j0, k0), j0, k0)
   }

@@ -8,34 +8,19 @@ import org.apache.spark.sql.functions._
   * `INF = 1` iff no other tuple agrees with tuple `j` on the LHS of any FD
   * `L→B` — then its entropy need not be computed at all.
   *
-  * Two implementations:
-  *  - a local one over [[Instance]], used inside the exact/MC pipelines;
-  *  - a distributed one over DataFrames using window `count` per FD LHS —
-  *    the groupBy/aggregate redundancy scan that scales past driver memory.
-  *  They are cross-checked against each other and against the DuckDB oracle
-  *  in the test suite.
+  * Locally the non-unique positions are the key set of
+  * [[Clauses.forAllPositions]]. Over DataFrames, [[nonUniqueDF]] finds them
+  * with a window `count` per FD LHS — the groupBy/aggregate redundancy scan
+  * that scales past driver memory. The two are cross-checked against each
+  * other and against the DuckDB oracle in the test suite.
   */
 object Uniqueness {
 
   /** Positions that are NOT unique w.r.t. the FD set (Def. 3.1), i.e. whose
     * entropy is strictly below 1 by Prop. 3.2.
     */
-  def nonUniquePositions(inst: Instance, fds: Seq[FD]): Set[Pos] = {
-    val out = Set.newBuilder[Pos]
-    for (fd <- fds if !fd.trivial) {
-      val lhs = fd.lhs.toVector.sorted
-      val groups = inst.rows.indices.groupBy(j => lhs.map(c => inst.rows(j)(c)))
-      for ((_, rowsIdx) <- groups if rowsIdx.size > 1; j <- rowsIdx)
-        out += Pos(j, fd.rhs)
-    }
-    out.result()
-  }
-
-  /** Rows (indices) that contain at least one non-unique position — the set
-    * `J₀` of Prop. 3.3.
-    */
-  def nonUniqueRows(inst: Instance, fds: Seq[FD]): Set[Int] =
-    nonUniquePositions(inst, fds).map(_.row)
+  def nonUniquePositions(inst: Instance, fds: Seq[FD]): Set[Pos] =
+    Clauses.forAllPositions(inst, fds).keySet
 
   /** Distributed variant: returns a DataFrame `(idCol, attr)` listing every
     * non-unique position of `df` (tuples identified by `idCol`) w.r.t. the
@@ -50,7 +35,8 @@ object Uniqueness {
         .where(col("grp_n") > 1)
         .select(col(idCol), lit(rhs).as("attr"))
     }
-    perFd.reduce(_.union(_)).distinct()
+    if (perFd.isEmpty) df.select(col(idCol), lit("").as("attr")).limit(0) // only trivial FDs
+    else perFd.reduce(_.union(_)).distinct()
   }
 
   /** Distributed count of non-unique positions per attribute: the headline

@@ -1,6 +1,6 @@
 package repro.exp
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 
 import repro.core._
 import repro.data.Datasets
@@ -15,9 +15,7 @@ object Experiments {
   /** A dataset prepared for the plaque test: the encoded instance and its
     * discovered FDs (the Metanome-substitute output).
     */
-  final case class Prepared(name: String, inst: Instance, fds: Vector[FD]) {
-    def fdsByName: Vector[(Seq[String], String)] = FDDiscovery.byNames(inst, fds)
-  }
+  final case class Prepared(name: String, inst: Instance, fds: Vector[FD])
 
   /** Max LHS size used for discovery, per dataset. Iris uses unary discovery
     * (the paper's iris FD set is tiny and all-class-RHS; with binary LHS our
@@ -60,12 +58,5 @@ object Experiments {
     def fmt(r: Seq[String]) =
       r.zip(widths).map { case (c, w) => c.reverse.padTo(w, ' ').reverse }.mkString("  ")
     (fmt(header) +: "-" * (widths.sum + 2 * (header.size - 1)) +: rows.map(fmt)).mkString("\n")
-  }
-
-  /** Collect a small result DataFrame into printable rows. */
-  def show(df: DataFrame): String = {
-    val header = df.columns.toSeq
-    val rows = df.collect().toSeq.map(r => header.indices.map(i => String.valueOf(r.get(i))))
-    formatTable(header, rows)
   }
 }

@@ -14,13 +14,10 @@ import repro.core.{FD, FDs, Instance}
   *
   *  - [[discoverLocal]] runs over an in-memory [[Instance]] (the evaluation
   *    datasets have ≤ 150 rows — exactly the paper's setting);
-  *  - [[discoverSparkUnary]] runs the unary (`A → B`) level as distributed
-  *    `groupBy/countDistinct` scans, one pass per candidate LHS, for data
-  *    that does not fit the driver;
   *  - [[holdsSpark]] verifies a single FD distributively.
   *
-  * Both paths are cross-checked against each other and against the DuckDB
-  * oracle in the test suite.
+  * The test suite checks [[holdsSpark]] against [[holdsLocal]] and against
+  * the DuckDB oracle.
   */
 object FDDiscovery {
 
@@ -79,27 +76,5 @@ object FDDiscovery {
       .agg(max(col("d")).as("m"))
       .collect()(0)
       .getLong(0) <= 1L
-  }
-
-  /** Distributed unary discovery: all minimal `A -> B` FDs, one
-    * groupBy/aggregate pass per candidate LHS attribute (all RHS candidates
-    * are aggregated in the same scan).
-    */
-  def discoverSparkUnary(df: DataFrame, exclude: Set[String] = Set.empty): Vector[(Seq[String], String)] = {
-    val cols = df.columns.filterNot(exclude).toVector
-    val out = Vector.newBuilder[(Seq[String], String)]
-    for (a <- cols) {
-      val others = cols.filterNot(_ == a)
-      if (others.nonEmpty) {
-        // Two-stage: per-group distinct counts, then the max over groups.
-        val grouped = df.groupBy(col(a)).agg(countDistinct(col(others.head)).as(others.head),
-          others.tail.map(b => countDistinct(col(b)).as(b)): _*)
-        val maxima = grouped.agg(max(col(others.head)).as(others.head),
-          others.tail.map(b => max(col(b)).as(b)): _*).collect()(0)
-        for ((b, i) <- others.zipWithIndex if maxima.getLong(i) <= 1L)
-          out += ((Seq(a), b))
-      }
-    }
-    out.result()
   }
 }

@@ -12,55 +12,60 @@ class ClausesSpec extends AnyFunSuite {
   )
   private val fds = Vector(FD(Set(0), 2)) // A -> C
 
+  private def clausesAt(inst: Instance, fds: Seq[FD], p: Pos): Vector[Set[Pos]] =
+    Clauses.forAllPositions(inst, fds).getOrElse(p, Vector.empty)
+
   test("witness clause for Example 3.4, position (0,C)") {
-    val cls = Clauses.forPosition(ex34, fds, Pos(0, 2))
+    val cls = clausesAt(ex34, fds, Pos(0, 2))
     assert(cls == Vector(Set(Pos(0, 0), Pos(2, 0), Pos(2, 2))))
   }
 
   test("no clauses for a unique position") {
-    assert(Clauses.forPosition(ex34, fds, Pos(1, 2)).isEmpty)
+    assert(clausesAt(ex34, fds, Pos(1, 2)).isEmpty)
   }
 
   test("no clauses for an attribute without an FD RHS") {
-    assert(Clauses.forPosition(ex34, fds, Pos(0, 0)).isEmpty)
-    assert(Clauses.forPosition(ex34, fds, Pos(0, 3)).isEmpty)
+    assert(clausesAt(ex34, fds, Pos(0, 0)).isEmpty)
+    assert(clausesAt(ex34, fds, Pos(0, 3)).isEmpty)
   }
 
   test("trivial FDs generate no clauses") {
-    assert(Clauses.forPosition(ex34, Vector(FD(Set(2), 2)), Pos(0, 2)).isEmpty)
+    assert(Clauses.forAllPositions(ex34, Vector(FD(Set(2), 2))).isEmpty)
   }
 
   test("empty-LHS FD clauses contain only the witness RHS cell") {
     // B is constant: {} -> B has every other row as witness.
-    val cls = Clauses.forPosition(ex34, Vector(FD(Set.empty[Int], 1)), Pos(0, 1))
+    val cls = clausesAt(ex34, Vector(FD(Set.empty[Int], 1)), Pos(0, 1))
     assert(cls.toSet == Set(Set(Pos(1, 1)), Set(Pos(2, 1))))
   }
 
   test("minimize removes duplicate clauses") {
     val c = Set(Pos(0, 0), Pos(1, 0))
-    assert(Clauses.minimize(Seq(c, c)) == Vector(c))
+    assert(TestGen.minimizeClauses(Seq(c, c)) == Vector(c))
   }
 
   test("minimize removes superset clauses") {
     val small = Set(Pos(0, 0))
     val big = Set(Pos(0, 0), Pos(1, 1))
-    assert(Clauses.minimize(Seq(big, small)) == Vector(small))
+    assert(TestGen.minimizeClauses(Seq(big, small)) == Vector(small))
   }
 
   test("eval: empty clause set is always fulfilled") {
-    assert(Clauses.eval(Vector.empty, Set.empty))
+    assert(TestGen.evalClauses(Vector.empty, Set.empty))
   }
 
   test("eval requires every clause hit") {
     val cls = Vector(Set(Pos(0, 0)), Set(Pos(1, 1)))
-    assert(!Clauses.eval(cls, Set(Pos(0, 0))))
-    assert(Clauses.eval(cls, Set(Pos(0, 0), Pos(1, 1))))
+    assert(!TestGen.evalClauses(cls, Set(Pos(0, 0))))
+    assert(TestGen.evalClauses(cls, Set(Pos(0, 0), Pos(1, 1))))
   }
 
+  // `forPosition` in these names is `TestGen.referenceClauses`. `==` pins the clause
+  // order, on which `MonteCarlo.mask`'s cell numbering and so the MC streams depend.
   test("forAllPositions agrees with forPosition everywhere (Example 3.4)") {
     val all = Clauses.forAllPositions(ex34, fds)
     for (p <- ex34.positions) {
-      assert(all.getOrElse(p, Vector.empty).toSet == Clauses.forPosition(ex34, fds, p).toSet, s"at $p")
+      assert(all.getOrElse(p, Vector.empty) == TestGen.referenceClauses(ex34, fds, p), s"at $p")
     }
   }
 
@@ -79,7 +84,32 @@ class ClausesSpec extends AnyFunSuite {
       Seq("ID") -> "RYear", Seq("Band") -> "BYear", Seq("ID", "Track") -> "Title")))
     val all = Clauses.forAllPositions(inst, cd)
     for (p <- inst.positions)
-      assert(all.getOrElse(p, Vector.empty).toSet == Clauses.forPosition(inst, cd, p).toSet, s"at $p")
+      assert(all.getOrElse(p, Vector.empty) == TestGen.referenceClauses(inst, cd, p), s"at $p")
+  }
+
+  test("on closed FDs, forAllPositions ≡ referenceClauses with duplicate-free, non-nested clauses") {
+    var nonUnique = 0
+    for (seed <- 0L until 400L) {
+      val (inst, fds) = TestGen.instanceWithFds(seed, maxRows = 6, maxCols = 5)
+      val closed = FDs.closure(fds)
+      val all = Clauses.forAllPositions(inst, closed)
+      for (p <- inst.positions)
+        assert(all.getOrElse(p, Vector.empty) == TestGen.referenceClauses(inst, closed, p), s"seed $seed at $p")
+      for ((p, cls) <- all; i <- cls.indices; k <- cls.indices if i != k)
+        assert(!cls(i).subsetOf(cls(k)), s"seed $seed at $p: ${cls(i)} ⊆ ${cls(k)}")
+      nonUnique += all.size
+    }
+    assert(nonUnique > 1000)
+  }
+
+  test("on raw FDs a superset clause may appear, and minimizing it away keeps X(Q)") {
+    // A -> C and {A, B} -> C: the second FD's clause contains the first's.
+    val raw = Vector(FD(Set(0), 2), FD(Set(0, 1), 2))
+    val cls = Clauses.forAllPositions(ex34, raw)(Pos(0, 2))
+    assert(cls.size == 2 && cls(0).subsetOf(cls(1)))
+    assert(TestGen.minimizeClauses(cls) == TestGen.referenceClauses(ex34, FDs.closure(raw), Pos(0, 2)))
+    for (q <- cls(1).subsets())
+      assert(TestGen.evalClauses(cls, q) == TestGen.evalClauses(cls.take(1), q), s"q=$q")
   }
 
   // The load-bearing equivalence: clause evaluation == the literal
@@ -88,13 +118,14 @@ class ClausesSpec extends AnyFunSuite {
     test(s"clause eval ≡ Fulfills.check with fresh value (random instance, seed=$seed)") {
       val (inst, fds) = TestGen.instanceWithFds(seed)
       val closed = FDs.closure(fds)
+      val all = Clauses.forAllPositions(inst, closed)
       val rng = new Random(seed * 31 + 7)
       for (_ <- 0 until 20) {
         val p = inst.positions(rng.nextInt(inst.positions.size))
         val q = TestGen.randomQ(inst, p, rng)
-        val cls = Clauses.forPosition(inst, closed, p)
+        val cls = all.getOrElse(p, Vector.empty)
         val fresh = inst.freshValue(p.col)
-        val viaClauses = Clauses.eval(cls, q)
+        val viaClauses = TestGen.evalClauses(cls, q)
         val viaFulfills = Fulfills.check(inst, closed, q, Map(p -> fresh))
         assert(viaClauses == viaFulfills,
           s"inst=$inst fds=$fds p=$p q=$q clauses=$cls")

@@ -31,7 +31,7 @@ class ExactEntropySpec extends AnyFunSuite {
   test("Example 3.4: viaClauses matches the naive value exactly") {
     for (p <- ex34.positions) {
       val n = NaiveEntropy.compute(ex34, closed, p)
-      val c = ExactEntropy.viaClauses(Clauses.forPosition(ex34, closed, p))
+      val c = ExactEntropy.viaClauses(TestGen.referenceClauses(ex34, closed, p))
       assert(math.abs(n - c) < 1e-12, s"at $p")
     }
   }
@@ -119,7 +119,7 @@ class ExactEntropySpec extends AnyFunSuite {
     )
     for (cls <- cases) {
       assert(ExactEntropy.viaClauses(cls) == TestGen.referenceViaClauses(cls), s"$cls")
-      assert(ExactEntropy.viaClauses(cls) == ExactEntropy.viaClauses(Clauses.minimize(cls)))
+      assert(ExactEntropy.viaClauses(cls) == ExactEntropy.viaClauses(TestGen.minimizeClauses(cls)))
     }
     // Every clause of `low` lowers to cells 0–5, the appended ones to cells ≥ 6.
     val m = MonteCarlo.mask(cases(3)).masks.map(_(0))
@@ -191,7 +191,7 @@ class ExactEntropySpec extends AnyFunSuite {
       assert(res.nonUnique == Uniqueness.nonUniquePositions(inst, closed))
       for (p <- inst.positions) {
         val n = NaiveEntropy.compute(inst, closed, p)
-        val c = ExactEntropy.viaClauses(Clauses.forPosition(inst, closed, p))
+        val c = ExactEntropy.viaClauses(TestGen.referenceClauses(inst, closed, p))
         assert(math.abs(n - c) < 1e-12, s"naive=$n clause=$c at $p inst=$inst fds=$fds")
         assert(math.abs(n - opt.entropies(p)) < 1e-12, s"naive=$n opt=${opt.entropies(p)} at $p")
         assert(math.abs(n - res.entropy(p)) < 1e-12, s"naive=$n runExact=${res.entropy(p)} at $p")

@@ -102,7 +102,7 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
       val (inst, fds) = TestGen.instanceWithFds(seed)
       val closed = FDs.closure(fds)
       for (p <- inst.positions.take(6)) {
-        val cls = Clauses.forPosition(inst, closed, p)
+        val cls = TestGen.referenceClauses(inst, closed, p)
         val exact = ExactEntropy.viaClauses(cls)
         val est = MonteCarlo.estimate(MonteCarlo.mask(cls), 100000, seed)
         assert(math.abs(est - exact) < 0.015, s"est=$est exact=$exact at $p")
@@ -139,8 +139,8 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
     )
     val closed = FDs.closure(Vector(FD(Set(0), 2)))
     val clauses = Map(
-      Pos(0, 2) -> (Clauses.forPosition(ex34, closed, Pos(0, 2)): Seq[Set[Pos]]),
-      Pos(2, 2) -> (Clauses.forPosition(ex34, closed, Pos(2, 2)): Seq[Set[Pos]]),
+      Pos(0, 2) -> (TestGen.referenceClauses(ex34, closed, Pos(0, 2)): Seq[Set[Pos]]),
+      Pos(2, 2) -> (TestGen.referenceClauses(ex34, closed, Pos(2, 2)): Seq[Set[Pos]]),
     )
     val est = MonteCarlo.estimateSpark(spark, clauses, 100000)
     assert(est.keySet == clauses.keySet)

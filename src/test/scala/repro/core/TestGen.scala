@@ -49,12 +49,51 @@ object TestGen {
     throw new IllegalStateException(s"no repairable instance for seed $seed")
   }
 
+  /** The witness clauses of `p` by definition: one rescan of all rows per FD
+    * with RHS `p.col`, minimized by subsumption. `Clauses.forAllPositions`
+    * must equal it, clause order included, on closed FD sets.
+    */
+  def referenceClauses(inst: Instance, closedFds: Seq[FD], p: Pos): Vector[Set[Pos]] = {
+    val raw = for {
+      fd <- closedFds.toVector
+      if fd.rhs == p.col && !fd.trivial
+      lhs = fd.lhs.toVector.sorted
+      base = lhs.map(c => inst.rows(p.row)(c))
+      j2 <- inst.rows.indices.toVector
+      if j2 != p.row && lhs.map(c => inst.rows(j2)(c)) == base
+    } yield lhs.map(c => Pos(p.row, c)).toSet ++ lhs.map(c => Pos(j2, c)) + Pos(j2, fd.rhs)
+    minimizeClauses(raw)
+  }
+
+  /** Remove duplicate clauses and clauses that are supersets of another. */
+  def minimizeClauses(clauses: Seq[Set[Pos]]): Vector[Set[Pos]] = {
+    val distinct = clauses.distinct.sortBy(_.size)
+    val kept = scala.collection.mutable.ArrayBuffer.empty[Set[Pos]]
+    for (c <- distinct if !kept.exists(_.subsetOf(c))) kept += c
+    kept.toVector
+  }
+
+  /** `X(Q)`: 1 iff deleting the cells in `q` breaks every witness clause. */
+  def evalClauses(clauses: Seq[Set[Pos]], q: Set[Pos]): Boolean =
+    clauses.forall(c => c.exists(q.contains))
+
+  /** Drop trivial FDs, duplicates, and FDs subsumed by another FD with the
+    * same RHS and a subset LHS. The result determines the same minimal
+    * witness clauses as the input.
+    */
+  def minimizeFds(fds: Seq[FD]): Vector[FD] = {
+    val nontrivial = fds.filterNot(_.trivial).distinct
+    nontrivial.filterNot { f =>
+      nontrivial.exists(g => g != f && g.rhs == f.rhs && g.lhs.subsetOf(f.lhs))
+    }.toVector
+  }
+
   /** The pairwise pseudo-transitivity fixpoint that `FDs.closure` replaced,
     * kept as its oracle: the output must match element for element and in
     * order.
     */
   def referenceClosure(fds: Seq[FD]): Vector[FD] = {
-    var known = FDs.minimize(fds).toSet
+    var known = minimizeFds(fds).toSet
     var changed = true
     while (changed) {
       changed = false
@@ -69,7 +108,7 @@ object TestGen {
       val fresh = derived.toSet
       if (fresh.nonEmpty) {
         // Re-minimize: a new FD may subsume previously known ones.
-        known = FDs.minimize((known ++ fresh).toSeq).toSet
+        known = minimizeFds((known ++ fresh).toSeq).toSet
         changed = true
       }
     }

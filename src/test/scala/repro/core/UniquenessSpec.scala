@@ -19,7 +19,7 @@ class UniquenessSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("Example 3.4: non-unique rows are 0 and 2") {
-    assert(Uniqueness.nonUniqueRows(ex34, fds) == Set(0, 2))
+    assert(Reduction.reduce(ex34, fds).rowMap == Vector(0, 2))
   }
 
   test("attributes off every FD RHS are always unique (Prop. 3.2 note)") {
@@ -43,7 +43,7 @@ class UniquenessSpec extends AnyFunSuite with SparkSpec {
       val closed = FDs.closure(fds)
       val nu = Uniqueness.nonUniquePositions(inst, closed)
       for (p <- inst.positions) {
-        val inf = ExactEntropy.viaClauses(Clauses.forPosition(inst, closed, p))
+        val inf = ExactEntropy.viaClauses(TestGen.referenceClauses(inst, closed, p))
         assert((inf == 1.0) == !nu.contains(p), s"at $p inf=$inf inst=$inst fds=$fds")
       }
     }
@@ -54,7 +54,7 @@ class UniquenessSpec extends AnyFunSuite with SparkSpec {
       val (inst, fds) = TestGen.instanceWithFds(seed)
       val closed = FDs.closure(fds)
       val nu = Uniqueness.nonUniquePositions(inst, closed)
-      val withClauses = Clauses.forAllPositions(inst, closed).filter(_._2.nonEmpty).keySet
+      val withClauses = inst.positions.filter(TestGen.referenceClauses(inst, closed, _).nonEmpty).toSet
       assert(nu == withClauses, s"seed=$seed inst=$inst")
     }
   }
@@ -81,6 +81,24 @@ class UniquenessSpec extends AnyFunSuite with SparkSpec {
       .map(r => (r.getLong(0), r.getString(1)))
       .toSet
     assert(sparkNu == localNu)
+  }
+
+  test("nonUniqueDF equals the local computation on trivial and mixed FD lists") {
+    val inst = Instance.fromDataFrame(satDf, "id")
+    def local(fds: Seq[(Seq[String], String)]) = Uniqueness
+      .nonUniquePositions(inst, FDs.byName(inst.attrs, fds))
+      .map(p => (p.row.toLong, inst.attrs(p.col)))
+    def dist(fds: Seq[(Seq[String], String)]) = Uniqueness
+      .nonUniqueDF(satDf, fds, "id")
+      .collect()
+      .map(r => (r.getLong(0), r.getString(1)))
+      .toSet
+    val trivial = Seq(Seq("planet") -> "planet", Seq("name", "notes") -> "notes")
+    assert(local(trivial).isEmpty && dist(trivial).isEmpty)
+    assert(Uniqueness.nonUniqueCountsDF(satDf, trivial, "id").count() == 0)
+    val mixed = trivial ++ satFds
+    assert(local(mixed).nonEmpty)
+    assert(dist(mixed) == local(mixed))
   }
 
   test("nonUniqueDF matches the DuckDB oracle on satellites") {

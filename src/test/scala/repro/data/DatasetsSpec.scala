@@ -270,7 +270,19 @@ class DatasetsSpec extends AnyFunSuite with SparkSpec {
     val found = prepared("ncvoter")
     val closed = FDs.closure(found)
     assert(closed.size == 1734)
-    assert(closed.toSet == FDs.minimize(found).toSet)
+    assert(closed.toSet == TestGen.minimizeFds(found).toSet)
+  }
+
+  for (name <- Seq("satellites", "adult", "echocardiogram", "ncvoter", "iris")) {
+    test(s"$name: witness clauses of the closed FDs are duplicate-free and pairwise non-nested") {
+      val prep = Experiments.prepare(spark, name)
+      val all = Clauses.forAllPositions(prep.inst, FDs.closure(prep.fds))
+      assert(all.nonEmpty)
+      for ((p, cls) <- all) {
+        val nested = for (i <- cls.indices; k <- cls.indices if i != k && cls(i).subsetOf(cls(k))) yield (i, k)
+        assert(nested.isEmpty, s"at $p: clause pairs $nested")
+      }
+    }
   }
 
   // --- exact entropies ------------------------------------------------------

@@ -39,7 +39,7 @@ class FDDiscoverySpec extends AnyFunSuite with SparkSpec {
 
   test("discoverLocal is minimal: no FD has a determining proper subset") {
     val fds = FDDiscovery.discoverLocal(ex34, maxLhs = 2)
-    for (f <- fds; sub <- f.lhs.subsets if sub.size < f.lhs.size && sub.nonEmpty)
+    for (f <- fds; sub <- f.lhs.subsets() if sub.size < f.lhs.size && sub.nonEmpty)
       assert(!FDDiscovery.holdsLocal(ex34, sub, f.rhs), s"$f has determining subset $sub")
   }
 
@@ -116,25 +116,5 @@ class FDDiscoverySpec extends AnyFunSuite with SparkSpec {
       "SELECT mean_radius, CAST(COUNT(DISTINCT planet) AS VARCHAR) AS d FROM sat GROUP BY mean_radius",
       "sat" -> satDf,
     )
-  }
-
-  test("discoverSparkUnary equals local unary discovery on satellites") {
-    val inst = Instance.fromDataFrame(satDf, "id")
-    val localUnary = FDDiscovery
-      .discoverLocal(inst, maxLhs = 1)
-      .map(f => (f.lhs.toSeq.sorted.map(inst.attrs), inst.attrs(f.rhs)))
-      .toSet
-    val sparkUnary = FDDiscovery.discoverSparkUnary(satDf, exclude = Set("id")).toSet
-    assert(sparkUnary == localUnary)
-  }
-
-  test("discoverSparkUnary on the CD example matches local unary discovery") {
-    val df = Datasets.cdCollection(spark)
-    val inst = Instance.fromDataFrame(df, "id")
-    val localUnary = FDDiscovery
-      .discoverLocal(inst, maxLhs = 1)
-      .map(f => (f.lhs.toSeq.sorted.map(inst.attrs), inst.attrs(f.rhs)))
-      .toSet
-    assert(FDDiscovery.discoverSparkUnary(df, exclude = Set("id")).toSet == localUnary)
   }
 }

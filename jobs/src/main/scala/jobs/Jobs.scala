@@ -8,7 +8,7 @@ import repro.viz.Heatmap
 /** Shared SparkSession bootstrap for the spark-submit entrypoints. */
 object Jobs {
   def session(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

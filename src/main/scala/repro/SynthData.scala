@@ -50,49 +50,4 @@ object SynthData {
                (rand(seed + 3) * 2406).cast("int"))            as "o_orderdate",
     )
   }
-
-  def customer(spark: SparkSession, sf: Double = 0.01, seed: Long = 2): DataFrame = {
-    import spark.implicits._
-    spark.range(1, n(NCustomerPerSf, sf) + 1).toDF("c_custkey").select(
-      $"c_custkey",
-      (rand(seed) * 25).cast(IntegerType)                as "c_nationkey",
-      round(rand(seed + 1) * 10000 - 1000, 2)            as "c_acctbal",
-      element_at(array(lit("BUILDING"), lit("AUTOMOBILE"), lit("MACHINERY"),
-                       lit("HOUSEHOLD"), lit("FURNITURE")),
-                 (rand(seed + 2) * 5 + 1).cast("int"))   as "c_mktsegment",
-    )
-  }
-
-  def part(spark: SparkSession, sf: Double = 0.01, seed: Long = 5): DataFrame = {
-    import spark.implicits._
-    spark.range(1, n(NPartPerSf, sf) + 1).toDF("p_partkey").select(
-      $"p_partkey",
-      element_at(array(lit("STANDARD"), lit("SMALL"), lit("MEDIUM"),
-                       lit("LARGE"), lit("ECONOMY"), lit("PROMO")),
-                 (rand(seed) * 6 + 1).cast("int"))              as "p_type",
-      (rand(seed + 1) * 50 + 1).cast(IntegerType)               as "p_size",
-      round(lit(900.0) + ($"p_partkey" % 1000) / 10.0, 2)       as "p_retailprice",
-    )
-  }
-
-  /** Skewed key column — for join-skew / cardinality-estimation papers. */
-  def zipfKeys(spark: SparkSession, rows: Long, nKeys: Long,
-               alpha: Double = 1.1, seed: Long = 3): DataFrame = {
-    // Inverse-CDF draw over rank weights 1/k^alpha; good enough for skew.
-    val norm = (1L to math.min(nKeys, 10000L)).map(k => 1.0 / math.pow(k.toDouble, alpha)).sum
-    spark.range(rows).select(
-      least(lit(nKeys),
-            greatest(lit(1L),
-              pow(lit(1.0) / (rand(seed) * norm + 1e-9), lit(1.0 / alpha)).cast(LongType)
-            )) as "k",
-      rand(seed + 1) as "v",
-    )
-  }
-
-  def uniformKeys(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 4): DataFrame = {
-    spark.range(rows).select(
-      (rand(seed) * nKeys + 1).cast(LongType) as "k",
-      rand(seed + 1)                          as "v",
-    )
-  }
 }

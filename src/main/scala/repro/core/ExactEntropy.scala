@@ -12,11 +12,16 @@ object ExactEntropy {
     /** The time budget elapsed (the paper's "–"). */
     case object Budget extends Abort
 
-    /** [[optimized]] refused to enumerate a reduced subtable of `cells`
-      * cells (more than 62, so 2^cells subsets overflow the loop counter).
+    /** The run refused to enumerate an instance of `cells` cells (more
+      * than [[MaxCells]]).
       */
     final case class Oversized(cells: Int) extends Abort
   }
+
+  /** Largest instance Prop. 2.9 enumeration accepts: 2^61 subsets of the
+    * other cells still fit the `Long` loop counter.
+    */
+  private[core] val MaxCells = 62
 
   /** Result of an exact run over a whole instance.
     *
@@ -35,50 +40,49 @@ object ExactEntropy {
     * for every position. Rejects an FD that does not hold in `inst`
     * ([[FDs.requireHolds]]).
     */
-  def naive(inst: Instance, fds: Seq[FD], budgetMs: Long = Long.MaxValue): Result = {
-    FDs.requireHolds(inst, fds)
-    val t0 = System.nanoTime()
-    val closed = FDs.closure(fds)
-    val res = NaiveEntropy.matrix(inst, closed, budgetMs)
-    val ms = (System.nanoTime() - t0) / 1000000L
-    res match {
-      case Some(mat) => Result(mat, ms)
-      case None      => Result(Map.empty, ms, Some(Abort.Budget))
-    }
-  }
+  def naive(inst: Instance, fds: Seq[FD], budgetMs: Long = Long.MaxValue): Result =
+    enumerate(inst, fds, budgetMs)(closed => (inst, closed, inst.positions.map(p => p -> p)))
 
   /** The paper's "Optimized" configuration: Prop. 3.2 (skip unique cells) +
     * Prop. 3.3 (reduce to `I(J₀,K₀)`), then Prop. 2.9 enumeration on the
-    * subtable for each remaining position. Rejects an FD that does not hold
-    * in `inst` ([[FDs.requireHolds]]).
+    * subtable for each non-unique position. Rejects an FD that does not
+    * hold in `inst` ([[FDs.requireHolds]]).
     */
-  def optimized(inst: Instance, fds: Seq[FD], budgetMs: Long = Long.MaxValue): Result = {
+  def optimized(inst: Instance, fds: Seq[FD], budgetMs: Long = Long.MaxValue): Result =
+    enumerate(inst, fds, budgetMs) { closed =>
+      val red = Reduction.reduce(inst, closed)
+      val work = Uniqueness.nonUniquePositions(inst, closed).toVector.sortBy(p => (p.row, p.col)).map { p =>
+        p -> red.toSub(p).getOrElse(throw new IllegalStateException(s"non-unique position $p outside I(J0,K0)"))
+      }
+      (red.sub, red.mapFds(closed), work)
+    }
+
+  /** Shared body of [[naive]] and [[optimized]]. Rejects an FD that does
+    * not hold in `inst` ([[FDs.requireHolds]]) before the clock starts; the
+    * clock then covers the closure, `plan` and the enumeration. `plan` maps `F*` to the
+    * instance to enumerate, its FDs, and the `(position of inst, position
+    * in that instance)` pairs to compute with [[NaiveEntropy.compute]];
+    * every other position gets 1.0. A run with work on more than
+    * [[MaxCells]] cells stops as [[Abort.Oversized]], one whose budget runs
+    * out as [[Abort.Budget]]; either keeps the positions finished so far.
+    */
+  private def enumerate(inst: Instance, fds: Seq[FD], budgetMs: Long)(
+      plan: Vector[FD] => (Instance, Seq[FD], Seq[(Pos, Pos)])): Result = {
     FDs.requireHolds(inst, fds)
     val t0 = System.nanoTime()
     val deadline = if (budgetMs == Long.MaxValue) Long.MaxValue else t0 + budgetMs * 1000000L
-    def elapsed: Long = (System.nanoTime() - t0) / 1000000L
+    def stop(out: Map[Pos, Double], abort: Option[Abort]) = Result(out, (System.nanoTime() - t0) / 1000000L, abort)
 
-    val closed = FDs.closure(fds)
-    val nonUnique = Uniqueness.nonUniquePositions(inst, closed)
-    val ones = inst.positions.filterNot(nonUnique).map(_ -> 1.0)
-
-    if (nonUnique.isEmpty) return Result(ones.toMap, elapsed)
-
-    val red = Reduction.reduce(inst, closed)
-    val subFds = red.mapFds(closed)
-    // The subtable can still be too large to enumerate (2^cells subsets).
-    if (red.sub.nCells > 62) return Result(ones.toMap, elapsed, Some(Abort.Oversized(red.sub.nCells)))
-
-    val out = Map.newBuilder[Pos, Double]
-    out ++= ones
-    for (pFull <- nonUnique.toVector.sortBy(p => (p.row, p.col))) {
-      val pSub = red.toSub(pFull).getOrElse(
-        throw new IllegalStateException(s"non-unique position $pFull outside I(J0,K0)"))
-      val e = NaiveEntropy.compute(red.sub, subFds, pSub, maxCells = 62, deadlineNanos = deadline)
-      if (e.isNaN) return Result(ones.toMap, elapsed, Some(Abort.Budget))
-      out += pFull -> e
+    val (sub, subFds, work) = plan(FDs.closure(fds))
+    val computed = work.map(_._1).toSet
+    var out = inst.positions.filterNot(computed).map(_ -> 1.0).toMap
+    if (work.nonEmpty && sub.nCells > MaxCells) return stop(out, Some(Abort.Oversized(sub.nCells)))
+    for ((p, q) <- work) {
+      val e = NaiveEntropy.compute(sub, subFds, q, deadline)
+      if (e.isNaN) return stop(out, Some(Abort.Budget))
+      out += p -> e
     }
-    Result(out.result(), elapsed)
+    stop(out, None)
   }
 
   /** Largest clause-cell union [[viaClauses]] enumerates (2^26 subsets). */
@@ -116,8 +120,8 @@ object ExactEntropy {
     val mc = MonteCarlo.mask(clauses)
     val n = mc.nVars
     require(n <= MaxVars, s"clause-cell union$of has $n cells, more than the $MaxVars exact enumeration allows")
-    // MaxVars < 64, so every clause fits in word 0.
-    val bits = mc.masks.map(_.headOption.getOrElse(0L))
+    // MaxVars < 64, so every clause fits in one word.
+    val bits = mc.vars.map(_.foldLeft(0L)((acc, v) => acc | 1L << v))
     val high = bits.map(_ >>> 6)
     val low = bits.map(b => (0 until 6).foldLeft(0L)((acc, v) => if ((b & 1L << v) != 0L) acc | LowCells(v) else acc))
     val lanes = if (n >= 6) -1L else (1L << (1 << n)) - 1

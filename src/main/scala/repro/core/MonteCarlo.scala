@@ -43,30 +43,17 @@ object MonteCarlo {
     math.sqrt(2.0 * math.log(2.0 / delta) / n)
   }
 
-  /** Clause set pre-lowered to bitmask words over its cell union. */
-  final case class MaskedClauses(nVars: Int, masks: Array[Array[Long]]) {
-    def nWords: Int = (nVars + 63) >>> 6
+  /** Clause set lowered to cell indices over its cell union: cells are
+    * numbered `0 until nVars` in first-seen order, and `vars(i)` lists the
+    * cells of clause `i` in ascending order.
+    */
+  final case class MaskedClauses(nVars: Int, vars: Array[Array[Int]])
 
-    /** Cell indices of every clause, decoded from `masks` once. */
-    private[core] lazy val vars: Array[Array[Int]] = masks.map { m =>
-      (0 until nVars).filter(v => (m(v >>> 6) & (1L << (v & 63))) != 0L).toArray
-    }
-  }
-
-  /** Lower clauses over positions to packed bitmasks. */
+  /** Lower clauses over positions to cell indices. */
   def mask(clauses: Seq[Set[Pos]]): MaskedClauses = {
-    val vars = clauses.flatten.distinct.toVector
-    val idx = vars.zipWithIndex.toMap
-    val nWords = (vars.size + 63) >>> 6
-    val masks = clauses.map { c =>
-      val w = new Array[Long](nWords)
-      for (p <- c) {
-        val i = idx(p)
-        w(i >>> 6) |= 1L << (i & 63)
-      }
-      w
-    }.toArray
-    MaskedClauses(vars.size, masks)
+    val cells = clauses.flatten.distinct
+    val idx = cells.zipWithIndex.toMap
+    MaskedClauses(cells.size, clauses.map(_.toArray.map(idx).sorted).toArray)
   }
 
   /** One MC estimate: fraction of sampled deletions that hit every clause. */

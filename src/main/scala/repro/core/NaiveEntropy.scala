@@ -75,19 +75,13 @@ object NaiveEntropy {
   }
 
   /** Exact `INF_I(p | F)` by full subset enumeration. `closedFds` must be the
-    * closure `F*`. Throws if the instance has more than `maxCells` cells
-    * (2^62 subsets do not fit a loop counter, let alone a lifetime). Returns
-    * `Double.NaN` if `deadlineNanos` passes mid-enumeration (the paper's
-    * aborted 24-hour runs).
+    * closure `F*`. Throws if the instance has more than
+    * [[ExactEntropy.MaxCells]] cells. Returns `Double.NaN` if `deadlineNanos`
+    * passes mid-enumeration (the paper's aborted 24-hour runs).
     */
-  def compute(
-      inst: Instance,
-      closedFds: Seq[FD],
-      p: Pos,
-      maxCells: Int = 30,
-      deadlineNanos: Long = Long.MaxValue,
-  ): Double = {
-    require(inst.nCells <= maxCells + 1, s"naive enumeration over ${inst.nCells} cells refused")
+  def compute(inst: Instance, closedFds: Seq[FD], p: Pos, deadlineNanos: Long = Long.MaxValue): Double = {
+    require(inst.nCells <= ExactEntropy.MaxCells,
+      s"naive enumeration over ${inst.nCells} cells refused (at most ${ExactEntropy.MaxCells})")
     val others = inst.positions.filterNot(_ == p)
     val n = others.length
     val fds = lower(closedFds)
@@ -109,20 +103,5 @@ object NaiveEntropy {
       mask += 1
     }
     count.toDouble / total
-  }
-
-  /** Entropy matrix for every position; `None` if `budgetMs` elapsed first
-    * (the paper's "–" after 24 hours).
-    */
-  def matrix(inst: Instance, closedFds: Seq[FD], budgetMs: Long = Long.MaxValue): Option[Map[Pos, Double]] = {
-    val deadline =
-      if (budgetMs == Long.MaxValue) Long.MaxValue else System.nanoTime() + budgetMs * 1000000L
-    val out = Map.newBuilder[Pos, Double]
-    for (p <- inst.positions) {
-      val e = compute(inst, closedFds, p, maxCells = 62, deadlineNanos = deadline)
-      if (e.isNaN) return None
-      out += p -> e
-    }
-    Some(out.result())
   }
 }

@@ -23,7 +23,7 @@ class ExactEntropySpec extends AnyFunSuite {
     val expected = Map(
       Pos(0, 2) -> 0.875, Pos(2, 2) -> 0.875,
     ).withDefaultValue(1.0)
-    val mat = NaiveEntropy.matrix(ex34, closed).get
+    val mat = ExactEntropy.naive(ex34, fds).entropies
     for (p <- ex34.positions)
       assert(math.abs(mat(p) - expected(p)) < 1e-12, s"at $p")
   }
@@ -98,7 +98,8 @@ class ExactEntropySpec extends AnyFunSuite {
 
   test("random clause sets include low-only, high-only, mixed and duplicated clauses") {
     val sets = for (n <- 0 to 20; seed <- 0 until 25) yield TestGen.clauseSet(n, 1000L * n + seed)
-    def kinds(cls: Vector[Set[Pos]]): Seq[Long] = MonteCarlo.mask(cls).masks.toSeq.map(_.headOption.getOrElse(0L))
+    def kinds(cls: Vector[Set[Pos]]): Seq[Long] =
+      MonteCarlo.mask(cls).vars.toSeq.map(_.foldLeft(0L)((acc, v) => acc | 1L << v))
     val bigger = sets.filter(cls => MonteCarlo.mask(cls).nVars > 6)
     assert(bigger.count(kinds(_).exists(m => m != 0L && (m & ~63L) == 0L)) > 50, "low-only")
     assert(bigger.count(kinds(_).exists(m => (m & 63L) == 0L)) > 50, "high-only")
@@ -122,13 +123,31 @@ class ExactEntropySpec extends AnyFunSuite {
       assert(ExactEntropy.viaClauses(cls) == ExactEntropy.viaClauses(TestGen.minimizeClauses(cls)))
     }
     // Every clause of `low` lowers to cells 0–5, the appended ones to cells ≥ 6.
-    val m = MonteCarlo.mask(cases(3)).masks.map(_(0))
-    assert(m.take(4).forall(w => (w & ~63L) == 0L) && m.drop(4).forall(w => (w & 63L) == 0L))
+    val v = MonteCarlo.mask(cases(3)).vars
+    assert(v.take(4).forall(_.forall(_ < 6)) && v.drop(4).forall(_.forall(_ >= 6)))
   }
 
   test("naive refuses oversized instances") {
-    val big = Instance(Vector("A"), Vector.tabulate(40)(j => Vector(j)))
+    val big = Instance(Vector("A"), Vector.tabulate(63)(j => Vector(j)))
     assertThrows[IllegalArgumentException](NaiveEntropy.compute(big, closed, Pos(0, 0)))
+  }
+
+  test("naive reports a >62-cell instance as Abort.Oversized") {
+    val wide = Instance(Vector("A", "B"), Vector.fill(32)(Vector(1, 2)))
+    val res = ExactEntropy.naive(wide, Vector(FD(Set(0), 1)))
+    assert(res.abort == Some(ExactEntropy.Abort.Oversized(64)) && res.entropies.isEmpty)
+  }
+
+  test("naive with an expired budget reports Abort.Budget with no position computed") {
+    val res = ExactEntropy.naive(ex34, fds, budgetMs = 0L)
+    assert(res.abort == Some(ExactEntropy.Abort.Budget) && res.entropies.isEmpty)
+  }
+
+  test("optimized with an expired budget keeps exactly the unique cells at 1.0") {
+    val res = ExactEntropy.optimized(ex34, fds, budgetMs = 0L)
+    assert(res.abort == Some(ExactEntropy.Abort.Budget))
+    val unique = ex34.positions.toSet -- Uniqueness.nonUniquePositions(ex34, closed)
+    assert(res.entropies == unique.map(_ -> 1.0).toMap)
   }
 
   test("naive with an expired budget aborts") {

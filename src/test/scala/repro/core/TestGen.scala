@@ -145,8 +145,8 @@ object TestGen {
     if (clauses.isEmpty) return 1.0
     val mc = MonteCarlo.mask(clauses)
     require(mc.nVars <= 26, s"clause-cell union of ${mc.nVars} cells refused")
-    // 26 < 64, so every clause fits in word 0.
-    val masks = mc.masks.map(_.headOption.getOrElse(0L))
+    // 26 < 64, so every clause fits in one word.
+    val masks = mc.vars.map(_.foldLeft(0L)((acc, v) => acc | 1L << v))
     val total = 1L << mc.nVars
     var hit = 0L
     var mask = 0L

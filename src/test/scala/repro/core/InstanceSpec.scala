@@ -1,8 +1,14 @@
 package repro.core
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerStageCompleted}
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types._
 import org.scalatest.funsuite.AnyFunSuite
 
+import scala.jdk.CollectionConverters._
+
 import repro.SparkSpec
+import repro.data.Datasets
 
 class InstanceSpec extends AnyFunSuite with SparkSpec {
 
@@ -89,5 +95,101 @@ class InstanceSpec extends AnyFunSuite with SparkSpec {
     import spark.implicits._
     val df = Seq((0L, "p"), (1L, "q"), (2L, "p")).toDF("id", "u")
     assert(Instance.fromDataFrame(df, "id") == Instance.fromDataFrame(df, "id"))
+  }
+
+  private def frames: Seq[(String, DataFrame)] =
+    Datasets.byName(spark).toSeq.sortBy(_._1) :+ ("cd" -> Datasets.cdCollection(spark))
+
+  test("fromDataFrame equals the global-sort reference on the five mimics and the CD collection") {
+    for ((name, df) <- frames)
+      assert(Instance.fromDataFrame(df, "id") == TestGen.referenceFromDataFrame(df, "id"), name)
+  }
+
+  test("fromDataFrame equals the reference when rows arrive in reverse id order over 3 partitions") {
+    for ((name, df) <- frames) {
+      val reversed = spark.createDataFrame(spark.sparkContext.parallelize(df.collect().reverse.toSeq, 3), df.schema)
+      assert(reversed.rdd.getNumPartitions == 3)
+      val ids = reversed.collect().map(_.getLong(0)).toSeq
+      assert(ids == ids.sorted.reverse, name)
+      val inst = Instance.fromDataFrame(reversed, "id")
+      assert(inst == TestGen.referenceFromDataFrame(reversed, "id"), name)
+      assert(inst == Instance.fromDataFrame(df, "id"), name)
+    }
+  }
+
+  private def idFrame(idType: DataType, ids: Any*): DataFrame = {
+    val schema = StructType(Seq(StructField("key", idType, nullable = true), StructField("u", StringType)))
+    spark.createDataFrame(ids.zipWithIndex.map { case (id, j) => Row(id, s"v$j") }.asJava, schema)
+  }
+
+  private def refusal(df: DataFrame): String =
+    intercept[IllegalArgumentException](Instance.fromDataFrame(df, "key")).getMessage
+
+  test("fromDataFrame refuses a null id and names the column") {
+    val msg = refusal(idFrame(LongType, 0L, null, 2L))
+    assert(msg.contains("'key'") && msg.contains("null id"), msg)
+  }
+
+  test("fromDataFrame refuses a duplicate id and names the column and the value") {
+    val msg = refusal(idFrame(LongType, 3L, 7L, 5L, 7L))
+    assert(msg.contains("'key'") && msg.contains("duplicate id 7"), msg)
+  }
+
+  test("fromDataFrame refuses a string id and names the column and the type") {
+    val msg = refusal(idFrame(StringType, "a", "b"))
+    assert(msg.contains("'key'") && msg.contains("string"), msg)
+  }
+
+  test("fromDataFrame accepts every integral id type") {
+    val expected = Instance.encode(Seq("u"), Seq(Seq("v1"), Seq("v2"), Seq("v0")))
+    val cases = Seq(
+      idFrame(ByteType, 9.toByte, -4.toByte, 0.toByte),
+      idFrame(ShortType, 9.toShort, -4.toShort, 0.toShort),
+      idFrame(IntegerType, 9, -4, 0),
+      idFrame(LongType, 9L, -4L, 0L),
+    )
+    for (df <- cases) assert(Instance.fromDataFrame(df, "key") == expected, df.schema.head.dataType)
+  }
+
+  test("fromDataFrame runs one Spark job with no shuffle write on a cached mimic") {
+    val group = "encode-one-job"
+    var jobs = Vector.empty[Int]
+    var stages = Set.empty[Int]
+    var ended = 0
+    var shuffleWrite = 0L
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group)) {
+          jobs :+= e.jobId
+          stages ++= e.stageIds
+        }
+      }
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit = synchronized {
+        if (stages(e.stageInfo.stageId))
+          shuffleWrite += e.stageInfo.taskMetrics.shuffleWriteMetrics.bytesWritten
+      }
+      override def onJobEnd(e: SparkListenerJobEnd): Unit = synchronized {
+        if (jobs.contains(e.jobId)) ended += 1
+      }
+    }
+    val sc = spark.sparkContext
+    val df = Datasets.ncvoter(spark).cache()
+    try {
+      df.count()
+      sc.addSparkListener(listener)
+      try {
+        sc.setJobGroup(group, "fromDataFrame")
+        try Instance.fromDataFrame(df, "id")
+        finally sc.clearJobGroup()
+        val deadline = System.nanoTime() + 30000000000L
+        while (listener.synchronized(ended < jobs.size || jobs.isEmpty) && System.nanoTime() < deadline)
+          Thread.sleep(10)
+      } finally sc.removeSparkListener(listener)
+    } finally df.unpersist()
+    listener.synchronized {
+      assert(jobs.size == 1, s"jobs $jobs")
+      assert(ended == 1)
+      assert(shuffleWrite == 0L)
+    }
   }
 }

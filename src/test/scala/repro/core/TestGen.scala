@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+
 import scala.util.Random
 
 /** Deterministic random generators for property-style tests: small instances
@@ -180,6 +182,16 @@ object TestGen {
     }
     val cls = drawn.toVector
     if (rng.nextInt(3) == 0) cls :+ cls(rng.nextInt(cls.length)) else cls
+  }
+
+  /** The global-sort encode that `Instance.fromDataFrame` replaced, kept as
+    * its oracle: on a unique, non-null integral id the instances must be
+    * equal.
+    */
+  def referenceFromDataFrame(df: DataFrame, orderBy: String): Instance = {
+    val dataCols = df.columns.filterNot(_ == orderBy).toSeq
+    val local = df.orderBy(orderBy).select(orderBy, dataCols: _*).collect()
+    Instance.encode(dataCols, local.map(r => dataCols.indices.map(i => r.get(i + 1))).toSeq)
   }
 
   /** A random subset of positions excluding `p`. */

@@ -16,8 +16,8 @@ package repro.core
   * Hence `(I_{Q←X})_{p←a} ⊨ F*` iff **every** witness clause contains at
   * least one position of `Q` — a monotone-CNF "hit every clause" condition.
   * Uniqueness, the reduction and every estimator read [[forAllPositions]].
-  * The equivalence with [[Fulfills.check]] is exercised property-style in the
-  * test suite.
+  * The equivalence with the literal Definition 2.4 check (a `TestGen`
+  * oracle) is exercised property-style in the test suite.
   */
 object Clauses {
 

@@ -1,7 +1,8 @@
 package repro.core
 
-/** Exact entropy computation with the paper's optimizations, plus the
-  * clause-based exact evaluation behind `PlaqueTest.runExact`.
+/** Exact entropy: Table 1's Prop. 2.9 enumeration, unoptimized and with the
+  * paper's optimizations, plus the clause-based exact evaluation behind
+  * `PlaqueTest.runExact`.
   */
 object ExactEntropy {
 
@@ -21,7 +22,7 @@ object ExactEntropy {
   /** Largest instance Prop. 2.9 enumeration accepts: 2^61 subsets of the
     * other cells still fit the `Long` loop counter.
     */
-  private[core] val MaxCells = 62
+  private val MaxCells = 62
 
   /** Result of an exact run over a whole instance.
     *
@@ -37,8 +38,9 @@ object ExactEntropy {
   }
 
   /** The paper's "Unoptimized" configuration: Prop. 2.9 on the full instance
-    * for every position. Rejects an FD that does not hold in `inst`
-    * ([[FDs.requireHolds]]).
+    * for every position, exponential in the cells of the whole instance (the
+    * paper aborts it beyond 3 rows of the satellites data after 24 h).
+    * Rejects an FD that does not hold in `inst` ([[FDs.requireHolds]]).
     */
   def naive(inst: Instance, fds: Seq[FD], budgetMs: Long = Long.MaxValue): Result =
     enumerate(inst, fds, budgetMs)(closed => (inst, closed, inst.positions.map(p => p -> p)))
@@ -51,9 +53,9 @@ object ExactEntropy {
   def optimized(inst: Instance, fds: Seq[FD], budgetMs: Long = Long.MaxValue): Result =
     enumerate(inst, fds, budgetMs) { closed =>
       val red = Reduction.reduce(inst, closed)
-      val work = Uniqueness.nonUniquePositions(inst, closed).toVector.sortBy(p => (p.row, p.col)).map { p =>
-        p -> red.toSub(p).getOrElse(throw new IllegalStateException(s"non-unique position $p outside I(J0,K0)"))
-      }
+      val nonUnique = Uniqueness.nonUniquePositions(inst, closed)
+      // Every non-unique (j, B) has j ∈ J₀ and B ∈ K₀, so it is in the subtable.
+      val work = red.sub.positions.map(q => red.toFull(q) -> q).filter { case (p, _) => nonUnique(p) }
       (red.sub, red.mapFds(closed), work)
     }
 
@@ -61,7 +63,7 @@ object ExactEntropy {
     * not hold in `inst` ([[FDs.requireHolds]]) before the clock starts; the
     * clock then covers the closure, `plan` and the enumeration. `plan` maps `F*` to the
     * instance to enumerate, its FDs, and the `(position of inst, position
-    * in that instance)` pairs to compute with [[NaiveEntropy.compute]];
+    * in that instance)` pairs to compute with [[compute]];
     * every other position gets 1.0. A run with work on more than
     * [[MaxCells]] cells stops as [[Abort.Oversized]], one whose budget runs
     * out as [[Abort.Budget]]; either keeps the positions finished so far.
@@ -76,13 +78,113 @@ object ExactEntropy {
     val (sub, subFds, work) = plan(FDs.closure(fds))
     val computed = work.map(_._1).toSet
     var out = inst.positions.filterNot(computed).map(_ -> 1.0).toMap
-    if (work.nonEmpty && sub.nCells > MaxCells) return stop(out, Some(Abort.Oversized(sub.nCells)))
-    for ((p, q) <- work) {
-      val e = NaiveEntropy.compute(sub, subFds, q, deadline)
-      if (e.isNaN) return stop(out, Some(Abort.Budget))
-      out += p -> e
+    var abort: Option[Abort] = if (work.nonEmpty && sub.nCells > MaxCells) Some(Abort.Oversized(sub.nCells)) else None
+    val todo = work.iterator
+    while (abort.isEmpty && todo.hasNext) {
+      val (p, q) = todo.next()
+      val e = compute(sub, subFds, q, deadline)
+      if (e.isNaN) abort = Some(Abort.Budget) else out += p -> e
     }
-    stop(out, None)
+    stop(out, abort)
+  }
+
+  /** Pre-lowered FD (sorted LHS array) for allocation-free checks. */
+  private[core] def lower(fds: Seq[FD]): Array[(Array[Int], Int)] =
+    fds.filterNot(_.trivial).map(f => (f.lhs.toArray.sorted, f.rhs)).toArray
+
+  /** `(I_{Q←X})_{p←a} ⊨ F*` (Definition 2.4), allocation-free: variables
+    * are flagged in `varFlags` (index `row * arity + col`) and the probed cell
+    * `(pRow,pCol)` holds `fresh`. Two rows can violate an FD only if neither
+    * has a variable in its LHS or RHS cells, since variables are pairwise
+    * distinct and distinct from every constant. The tests check this against
+    * the literal definition, kept in `TestGen` as their oracle.
+    */
+  private[core] def checkFast(
+      inst: Instance,
+      fds: Array[(Array[Int], Int)],
+      varFlags: Array[Boolean],
+      pRow: Int,
+      pCol: Int,
+      fresh: Int,
+  ): Boolean = {
+    val m = inst.arity
+    val n = inst.nRows
+    val rows = inst.rows
+    var fi = 0
+    while (fi < fds.length) {
+      val lhs = fds(fi)._1
+      val rhs = fds(fi)._2
+      var j1 = 0
+      while (j1 < n) {
+        if (!varFlags(j1 * m + rhs) && allConst(lhs, varFlags, j1, m)) {
+          var j2 = j1 + 1
+          while (j2 < n) {
+            if (!varFlags(j2 * m + rhs) && allConst(lhs, varFlags, j2, m)) {
+              var eq = true
+              var li = 0
+              while (eq && li < lhs.length) {
+                val c = lhs(li)
+                val v1 = if (j1 == pRow && c == pCol) fresh else rows(j1)(c)
+                val v2 = if (j2 == pRow && c == pCol) fresh else rows(j2)(c)
+                if (v1 != v2) eq = false
+                li += 1
+              }
+              if (eq) {
+                val b1 = if (j1 == pRow && rhs == pCol) fresh else rows(j1)(rhs)
+                val b2 = if (j2 == pRow && rhs == pCol) fresh else rows(j2)(rhs)
+                if (b1 != b2) return false
+              }
+            }
+            j2 += 1
+          }
+        }
+        j1 += 1
+      }
+      fi += 1
+    }
+    true
+  }
+
+  private def allConst(lhs: Array[Int], varFlags: Array[Boolean], j: Int, m: Int): Boolean = {
+    var i = 0
+    while (i < lhs.length) {
+      if (varFlags(j * m + lhs(i))) return false
+      i += 1
+    }
+    true
+  }
+
+  /** Exact `INF_I(p | F)` by Prop. 2.9: enumerate **all** `2^(#Pos−1)`
+    * subsets `Q` of `Pos∖{p}`, replace them by distinct variables, put a fresh
+    * value at `p`, and count how many modified instances still fulfil
+    * `closedFds`, which must be the closure `F*`. Throws if the instance has
+    * more than [[MaxCells]] cells. Returns `Double.NaN` if `deadlineNanos`
+    * passes mid-enumeration (the paper's aborted 24-hour runs).
+    */
+  private[core] def compute(inst: Instance, closedFds: Seq[FD], p: Pos, deadlineNanos: Long = Long.MaxValue): Double = {
+    require(inst.nCells <= MaxCells,
+      s"naive enumeration over ${inst.nCells} cells refused (at most $MaxCells)")
+    val others = inst.positions.filterNot(_ == p)
+    val n = others.length
+    val fds = lower(closedFds)
+    val fresh = inst.freshValue(p.col)
+    val flags = new Array[Boolean](inst.nCells)
+    val m = inst.arity
+    val total = 1L << n
+    var count = 0L
+    var mask = 0L
+    while (mask < total) {
+      if ((mask & 0xfffffL) == 0L && System.nanoTime() > deadlineNanos) return Double.NaN
+      var i = 0
+      while (i < n) {
+        val q = others(i)
+        flags(q.row * m + q.col) = ((mask >>> i) & 1L) == 1L
+        i += 1
+      }
+      if (checkFast(inst, fds, flags, p.row, p.col, fresh)) count += 1
+      mask += 1
+    }
+    count.toDouble / total
   }
 
   /** Largest clause-cell union [[viaClauses]] enumerates (2^26 subsets). */

@@ -60,13 +60,19 @@ object FDs {
   }
 
   /** Throws an `IllegalArgumentException` naming the first FD of `fds` that
-    * does not hold in `inst` and two rows that violate it. Every entropy
-    * computation assumes `I ⊨ F` and checks it here.
+    * uses a column index outside `[0, arity)` (with its indices and the
+    * arity), or that does not hold in `inst` (with two rows that violate
+    * it). Every entropy computation assumes `I ⊨ F` and checks it here.
     */
   def requireHolds(inst: Instance, fds: Seq[FD]): Unit =
-    for (f <- fds; (i, j) <- violation(inst, f))
-      throw new IllegalArgumentException(
-        s"FD ${f.render(inst.attrs)} does not hold: rows $i and $j agree on its LHS but differ on ${inst.attrs(f.rhs)}")
+    for (f <- fds) {
+      require((f.lhs + f.rhs).forall(a => a >= 0 && a < inst.arity),
+        s"FD ${f.lhs.toSeq.sorted.mkString("{", ", ", "}")} -> ${f.rhs} names a column outside [0, ${inst.arity}) " +
+          s"of an arity-${inst.arity} instance")
+      for ((i, j) <- violation(inst, f))
+        throw new IllegalArgumentException(
+          s"FD ${f.render(inst.attrs)} does not hold: rows $i and $j agree on its LHS but differ on ${inst.attrs(f.rhs)}")
+    }
 
   /** The closure `F*` of `fds`: every non-trivial implied FD with a minimal
     * LHS, sorted by `(rhs, |lhs|, lhs)`.

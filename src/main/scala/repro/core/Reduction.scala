@@ -8,20 +8,15 @@ package repro.core
   */
 object Reduction {
 
-  /** A reduced instance with the bookkeeping to map positions and FDs
-    * between full and sub coordinates.
+  /** A reduced instance with the bookkeeping to map its positions back to
+    * full coordinates and FDs into sub coordinates.
     *
     * @param sub    the sub-instance `I(J, K)`
     * @param rowMap sub row index -> full row index (ascending)
     * @param colMap sub col index -> full col index (ascending)
     */
   final case class Reduced(sub: Instance, rowMap: Vector[Int], colMap: Vector[Int]) {
-    private lazy val rowInv: Map[Int, Int] = rowMap.zipWithIndex.toMap
     private lazy val colInv: Map[Int, Int] = colMap.zipWithIndex.toMap
-
-    /** Map a full-instance position into the subtable, if it is in there. */
-    def toSub(p: Pos): Option[Pos] =
-      for (r <- rowInv.get(p.row); c <- colInv.get(p.col)) yield Pos(r, c)
 
     /** Map a subtable position back to full coordinates. */
     def toFull(p: Pos): Pos = Pos(rowMap(p.row), colMap(p.col))

@@ -12,11 +12,11 @@ class ExactEntropySpec extends AnyFunSuite {
   private val closed = FDs.closure(fds)
 
   test("Example 3.4: INF((1,C)) = 0.875 via naive enumeration") {
-    assert(math.abs(NaiveEntropy.compute(ex34, closed, Pos(0, 2)) - 0.875) < 1e-12)
+    assert(math.abs(ExactEntropy.compute(ex34, closed, Pos(0, 2)) - 0.875) < 1e-12)
   }
 
   test("Example 3.4: INF((3,C)) = 0.875 via naive enumeration") {
-    assert(math.abs(NaiveEntropy.compute(ex34, closed, Pos(2, 2)) - 0.875) < 1e-12)
+    assert(math.abs(ExactEntropy.compute(ex34, closed, Pos(2, 2)) - 0.875) < 1e-12)
   }
 
   test("Example 3.4: full matrix matches the paper") {
@@ -30,7 +30,7 @@ class ExactEntropySpec extends AnyFunSuite {
 
   test("Example 3.4: viaClauses matches the naive value exactly") {
     for (p <- ex34.positions) {
-      val n = NaiveEntropy.compute(ex34, closed, p)
+      val n = ExactEntropy.compute(ex34, closed, p)
       val c = ExactEntropy.viaClauses(TestGen.referenceClauses(ex34, closed, p))
       assert(math.abs(n - c) < 1e-12, s"at $p")
     }
@@ -129,7 +129,7 @@ class ExactEntropySpec extends AnyFunSuite {
 
   test("naive refuses oversized instances") {
     val big = Instance(Vector("A"), Vector.tabulate(63)(j => Vector(j)))
-    assertThrows[IllegalArgumentException](NaiveEntropy.compute(big, closed, Pos(0, 0)))
+    assertThrows[IllegalArgumentException](ExactEntropy.compute(big, closed, Pos(0, 0)))
   }
 
   test("naive reports a >62-cell instance as Abort.Oversized") {
@@ -209,7 +209,7 @@ class ExactEntropySpec extends AnyFunSuite {
       val res = PlaqueTest.runExact(inst, fds)
       assert(res.nonUnique == Uniqueness.nonUniquePositions(inst, closed))
       for (p <- inst.positions) {
-        val n = NaiveEntropy.compute(inst, closed, p)
+        val n = ExactEntropy.compute(inst, closed, p)
         val c = ExactEntropy.viaClauses(TestGen.referenceClauses(inst, closed, p))
         assert(math.abs(n - c) < 1e-12, s"naive=$n clause=$c at $p inst=$inst fds=$fds")
         assert(math.abs(n - opt.entropies(p)) < 1e-12, s"naive=$n opt=${opt.entropies(p)} at $p")

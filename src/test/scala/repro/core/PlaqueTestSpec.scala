@@ -140,6 +140,27 @@ class PlaqueTestSpec extends AnyFunSuite with SparkSpec {
     assertRejected(PlaqueTest.runExact(ex34, violated))
   }
 
+  // Column indices outside Example 3.4's [0, 4), the trivial 9 -> 9 included,
+  // each listed after the valid A -> C.
+  for ((bad, named) <- Seq(FD(Set(7), 0) -> "{7} -> 0", FD(Set(0), 9) -> "{0} -> 9",
+                           FD(Set(-1), 2) -> "{-1} -> 2", FD(Set(9), 9) -> "{9} -> 9")) {
+    test(s"every entry point rejects FD $named on an arity-4 instance, naming its indices and the arity") {
+      val fdsWithBad = fds :+ bad
+      val entries: Seq[(String, () => Any)] = Seq(
+        "run" -> (() => PlaqueTest.run(spark, ex34, fdsWithBad, 1000)),
+        "runExact" -> (() => PlaqueTest.runExact(ex34, fdsWithBad)),
+        "naive" -> (() => ExactEntropy.naive(ex34, fdsWithBad)),
+        "optimized" -> (() => ExactEntropy.optimized(ex34, fdsWithBad)),
+        "matrixLocal" -> (() => MonteCarlo.matrixLocal(ex34, fdsWithBad, 1000)),
+      )
+      for ((entry, call) <- entries) {
+        val e = intercept[IllegalArgumentException](call())
+        assert(e.getMessage.contains(s"FD $named ") && e.getMessage.contains("[0, 4)") &&
+          e.getMessage.contains("arity-4"), s"$entry: ${e.getMessage}")
+      }
+    }
+  }
+
   // A -> B with 28 rows sharing one A value: each B cell has 27 witness rows,
   // so its clause-cell union is (j, A) plus (j', A) and (j', B) for each.
   private val crowded = Instance(Vector("A", "B"), Vector.fill(28)(Vector(1, 2)))

@@ -27,10 +27,11 @@ class ReductionSpec extends AnyFunSuite {
 
   test("position mapping round-trips") {
     val red = Reduction.reduce(ex34, closed)
-    assert(red.toSub(Pos(2, 2)) == Some(Pos(1, 1)))
-    assert(red.toSub(Pos(1, 2)) == None) // row 1 was dropped
-    assert(red.toSub(Pos(0, 1)) == None) // attribute B was dropped
     assert(red.toFull(Pos(1, 1)) == Pos(2, 2))
+    // Rows 0, 2 and attributes A, C, values included.
+    assert(red.sub.positions.map(red.toFull) == Vector(Pos(0, 0), Pos(0, 2), Pos(2, 0), Pos(2, 2)))
+    for (q <- red.sub.positions)
+      assert(red.sub.rows(q.row)(q.col) == ex34.rows(red.toFull(q).row)(red.toFull(q).col))
   }
 
   test("mapFds remaps column indices") {
@@ -42,8 +43,8 @@ class ReductionSpec extends AnyFunSuite {
     val red = Reduction.reduce(ex34, closed)
     val subFds = red.mapFds(closed)
     for (pSub <- red.sub.positions) {
-      val full = NaiveEntropy.compute(ex34, closed, red.toFull(pSub))
-      val sub = NaiveEntropy.compute(red.sub, subFds, pSub)
+      val full = ExactEntropy.compute(ex34, closed, red.toFull(pSub))
+      val sub = ExactEntropy.compute(red.sub, subFds, pSub)
       assert(math.abs(full - sub) < 1e-12, s"at $pSub")
     }
   }
@@ -58,8 +59,8 @@ class ReductionSpec extends AnyFunSuite {
       val red = Reduction.reduce(inst, closed)
       val subFds = red.mapFds(closed)
       for (pSub <- red.sub.positions) {
-        val full = NaiveEntropy.compute(inst, closed, red.toFull(pSub))
-        val sub = NaiveEntropy.compute(red.sub, subFds, pSub)
+        val full = ExactEntropy.compute(inst, closed, red.toFull(pSub))
+        val sub = ExactEntropy.compute(red.sub, subFds, pSub)
         assert(math.abs(full - sub) < 1e-12,
           s"full=$full sub=$sub at $pSub inst=$inst fds=$fds red=$red")
       }

@@ -44,7 +44,7 @@ object TestGen {
         it += 1
       }
       val inst = Instance(attrs, rows)
-      if (stable && Fulfills.holdsAll(inst, FDs.closure(fds)))
+      if (stable && FDs.closure(fds).forall(FDs.violation(inst, _).isEmpty))
         return (inst, fds)
       attempt += 1
     }
@@ -65,6 +65,44 @@ object TestGen {
       if j2 != p.row && lhs.map(c => inst.rows(j2)(c)) == base
     } yield lhs.map(c => Pos(p.row, c)).toSet ++ lhs.map(c => Pos(j2, c)) + Pos(j2, fd.rhs)
     minimizeClauses(raw)
+  }
+
+  /** `(I_{Q←X})_{p←a} ⊨ F*` by Definition 2.4, literally: the instance whose
+    * cells at `vars` (`Q`) hold pairwise-distinct variables and whose cells
+    * in `put` (e.g. the fresh value `a` at `p`; not in `vars`) are
+    * overwritten fulfils a single FD `A_1...A_s -> B` iff for all tuple pairs
+    * whose `B`-cells are constants and whose LHS cells are constants with
+    * equal values, the `B` values agree. A tuple with a variable in its LHS
+    * never collides with another tuple. `closedFds` must be the closure `F*`:
+    * for an instance with variables, fulfilling `F` FD by FD is not enough.
+    * `ExactEntropy.checkFast` and the witness clauses must equal it.
+    */
+  def referenceFulfills(inst: Instance, closedFds: Seq[FD], vars: Set[Pos], put: Map[Pos, Int]): Boolean =
+    closedFds.forall(fd => fulfillsOne(inst, fd, vars, put))
+
+  /** Single-FD check, pairwise over tuples (O(rows² · |lhs|)). */
+  private def fulfillsOne(inst: Instance, fd: FD, vars: Set[Pos], put: Map[Pos, Int]): Boolean = {
+    if (fd.trivial) return true
+    val lhs = fd.lhs.toArray.sorted
+    val n = inst.nRows
+
+    def v(j: Int, k: Int): Int = put.getOrElse(Pos(j, k), inst.rows(j)(k))
+    def isVar(j: Int, k: Int): Boolean = vars.contains(Pos(j, k))
+
+    var j1 = 0
+    while (j1 < n) {
+      if (!isVar(j1, fd.rhs) && lhs.forall(k => !isVar(j1, k))) {
+        var j2 = j1 + 1
+        while (j2 < n) {
+          if (!isVar(j2, fd.rhs) && lhs.forall(k => !isVar(j2, k)) &&
+              lhs.forall(k => v(j1, k) == v(j2, k)) &&
+              v(j1, fd.rhs) != v(j2, fd.rhs)) return false
+          j2 += 1
+        }
+      }
+      j1 += 1
+    }
+    true
   }
 
   /** Remove duplicate clauses and clauses that are supersets of another. */

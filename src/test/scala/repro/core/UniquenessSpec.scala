@@ -31,7 +31,7 @@ class UniquenessSpec extends AnyFunSuite with SparkSpec {
     val closed = FDs.closure(fds)
     val nu = Uniqueness.nonUniquePositions(ex34, closed)
     for (p <- ex34.positions) {
-      val inf = NaiveEntropy.compute(ex34, closed, p)
+      val inf = ExactEntropy.compute(ex34, closed, p)
       assert((inf == 1.0) == !nu.contains(p), s"at $p inf=$inf")
     }
   }
@@ -125,6 +125,22 @@ class UniquenessSpec extends AnyFunSuite with SparkSpec {
         |) WHERE c > 1 GROUP BY attr""".stripMargin,
       "sat" -> satDf,
     )
+  }
+
+  test("nonUniqueDF equals the local computation on an empty-LHS FD (echocardiogram ∅ → name)") {
+    val df = Datasets.echocardiogram(spark)
+    val inst = Instance.fromDataFrame(df, "id")
+    val fds = Seq(Seq.empty[String] -> "name")
+    val local = Uniqueness
+      .nonUniquePositions(inst, FDs.byName(inst.attrs, fds))
+      .map(p => (p.row.toLong, inst.attrs(p.col)))
+    val dist = Uniqueness
+      .nonUniqueDF(df, fds, "id")
+      .collect()
+      .map(r => (r.getLong(0), r.getString(1)))
+      .toSet
+    assert(local.size == 132)
+    assert(dist == local)
   }
 
   test("fdHolds is true for the planted satellite FDs") {

@@ -45,7 +45,7 @@ class FDDiscoverySpec extends AnyFunSuite with SparkSpec {
 
   test("every discovered FD actually holds (maxLhs=2, Example 3.4)") {
     val fds = FDDiscovery.discoverLocal(ex34, maxLhs = 2)
-    for (f <- fds) assert(Fulfills.holds(ex34, f), s"$f")
+    for (f <- fds) assert(FDs.violation(ex34, f).isEmpty, s"$f")
   }
 
   test("discovery on the CD example finds the genuine unary FDs") {
@@ -103,6 +103,15 @@ class FDDiscoverySpec extends AnyFunSuite with SparkSpec {
       val local = FDDiscovery.holdsLocal(inst, lhs.map(inst.attrIndex).toSet, inst.attrIndex(rhs))
       val dist = FDDiscovery.holdsSpark(satDf, lhs, rhs)
       assert(local == dist, s"$lhs -> $rhs: local=$local spark=$dist")
+    }
+  }
+
+  test("holdsSpark agrees with holdsLocal on empty-LHS FDs (echocardiogram)") {
+    val df = Datasets.echocardiogram(spark)
+    val inst = Instance.fromDataFrame(df, "id")
+    for ((rhs, holds) <- Seq("name" -> true, "group" -> false)) {
+      assert(FDDiscovery.holdsLocal(inst, Set.empty, inst.attrIndex(rhs)) == holds, s"local ∅ -> $rhs")
+      assert(FDDiscovery.holdsSpark(df, Nil, rhs) == holds, s"spark ∅ -> $rhs")
     }
   }
 

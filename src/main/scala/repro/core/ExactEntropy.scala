@@ -53,9 +53,8 @@ object ExactEntropy {
   def optimized(inst: Instance, fds: Seq[FD], budgetMs: Long = Long.MaxValue): Result =
     enumerate(inst, fds, budgetMs) { closed =>
       val red = Reduction.reduce(inst, closed)
-      val nonUnique = Uniqueness.nonUniquePositions(inst, closed)
       // Every non-unique (j, B) has j ∈ J₀ and B ∈ K₀, so it is in the subtable.
-      val work = red.sub.positions.map(q => red.toFull(q) -> q).filter { case (p, _) => nonUnique(p) }
+      val work = red.sub.positions.map(q => red.toFull(q) -> q).filter { case (p, _) => red.nonUnique(p) }
       (red.sub, red.mapFds(closed), work)
     }
 
@@ -212,14 +211,13 @@ object ExactEntropy {
     * the single word count. Returns `hits / 2^n`, bit for bit what a
     * subset-at-a-time loop gives.
     */
-  def viaClauses(clauses: Seq[Set[Pos]]): Double = truthTable(clauses, "")
+  def viaClauses(mc: MonteCarlo.MaskedClauses): Double = truthTable(mc, "")
 
-  /** [[viaClauses]] for the clauses of `p`; a refusal names `p`. */
-  private[core] def viaClauses(p: Pos, clauses: Seq[Set[Pos]]): Double = truthTable(clauses, s" of position $p")
+  /** [[viaClauses]] for the lowered clauses of `p`; a refusal names `p`. */
+  private[core] def viaClauses(p: Pos, mc: MonteCarlo.MaskedClauses): Double = truthTable(mc, s" of position $p")
 
-  private def truthTable(clauses: Seq[Set[Pos]], of: => String): Double = {
-    if (clauses.isEmpty) return 1.0
-    val mc = MonteCarlo.mask(clauses)
+  private def truthTable(mc: MonteCarlo.MaskedClauses, of: => String): Double = {
+    if (mc.vars.isEmpty) return 1.0
     val n = mc.nVars
     require(n <= MaxVars, s"clause-cell union$of has $n cells, more than the $MaxVars exact enumeration allows")
     // MaxVars < 64, so every clause fits in one word.

@@ -44,16 +44,20 @@ object MonteCarlo {
   }
 
   /** Clause set lowered to cell indices over its cell union: cells are
-    * numbered `0 until nVars` in first-seen order, and `vars(i)` lists the
-    * cells of clause `i` in ascending order.
+    * numbered `0 until nVars`, and `vars(i)` lists the cells of clause `i`
+    * in ascending order.
     */
   final case class MaskedClauses(nVars: Int, vars: Array[Array[Int]])
 
-  /** Lower clauses over positions to cell indices. */
+  /** Lower clauses over positions to cell indices, numbering cells in first-
+    * seen order over the clauses with each clause's cells taken in ascending
+    * `(row, col)` order: the numbering of `Clauses.index`, so the sampler
+    * draws the same streams for both.
+    */
   def mask(clauses: Seq[Set[Pos]]): MaskedClauses = {
-    val cells = clauses.flatten.distinct
-    val idx = cells.zipWithIndex.toMap
-    MaskedClauses(cells.size, clauses.map(_.toArray.map(idx).sorted).toArray)
+    val idx = scala.collection.mutable.HashMap.empty[Pos, Int]
+    val vars = clauses.map(_.toArray.sortBy(p => (p.row, p.col)).map(c => idx.getOrElseUpdate(c, idx.size)).sorted)
+    MaskedClauses(idx.size, vars.toArray)
   }
 
   /** One MC estimate: fraction of sampled deletions that hit every clause. */
@@ -118,20 +122,13 @@ object MonteCarlo {
     */
   def matrixLocal(inst: Instance, fds: Seq[FD], iters: Long, seed: Long = 42): Map[Pos, Double] = {
     require(iters > 0, s"iteration count must be positive, got $iters")
-    PlaqueTest.pipeline(inst, fds, iters)(_.map { case (p, cls) =>
-      val mc = mask(cls)
+    PlaqueTest.pipeline(inst, fds, iters)(_.map { case (p, mc) =>
       p -> blocks(iters).map { case (b, n) => blockHits(mc, p, seed, b, n) }.sum.toDouble / iters
     }).byPosition
   }
 
-  /** Distributed MC entropy estimates for the given positions.
-    *
-    * The masked clause sets are broadcast, and every (position, block) pair
-    * is one element of an RDD; the job is a single stage of
-    * `min(#blocks, 4 · defaultParallelism)` tasks whose `(position, n, hits)`
-    * triples are collected and summed on the driver — no shuffle. A position
-    * whose collected blocks do not add up to `iters` iterations is an
-    * `IllegalStateException`, never a silent 0.
+  /** Distributed MC entropy estimates for the given positions: [[mask]] of
+    * each clause set, sampled as `PlaqueTest.run` samples `Clauses.index`.
     *
     * @return per-position estimates for exactly the keys of `clausesByPos`
     */
@@ -140,11 +137,28 @@ object MonteCarlo {
       clausesByPos: Map[Pos, Seq[Set[Pos]]],
       iters: Long,
       seed: Long = 42,
+  ): Map[Pos, Double] =
+    sampleSpark(spark, clausesByPos.map { case (p, cls) => p -> mask(cls) }, iters, seed)
+
+  /** Distributed MC entropy estimates for lowered clause sets.
+    *
+    * The masked clause sets are broadcast, and every (position, block) pair
+    * is one element of an RDD; the job is a single stage of
+    * `min(#blocks, 4 · defaultParallelism)` tasks whose `(position, n, hits)`
+    * triples are collected and summed on the driver — no shuffle. A position
+    * whose collected blocks do not add up to `iters` iterations is an
+    * `IllegalStateException`, never a silent 0.
+    */
+  private[core] def sampleSpark(
+      spark: SparkSession,
+      masked: Map[Pos, MaskedClauses],
+      iters: Long,
+      seed: Long,
   ): Map[Pos, Double] = {
     require(iters > 0, s"iteration count must be positive, got $iters")
-    if (clausesByPos.isEmpty) return Map.empty
+    if (masked.isEmpty) return Map.empty
     val sc = spark.sparkContext
-    val cells = clausesByPos.toArray.map { case (p, cls) => (p, mask(cls)) }
+    val cells = masked.toArray
     val bc = sc.broadcast(cells)
     val tasks = for (pi <- cells.indices; (b, n) <- blocks(iters)) yield (pi, b, n)
     val done = sc

@@ -5,7 +5,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 /** End-to-end "plaque test": per-cell entropy matrix for a relation instance
   * under a set of functional dependencies (the paper's visualization input).
   *
-  * Pipeline = closure (§2.1) → witness clauses (§3.1) → an estimator for the
+  * Pipeline = closure (§2.1) → lowered witness clauses (§3.1) → an estimator for the
   * positions that have clauses; every other position is unique and gets 1
   * (Prop. 3.2). [[run]] estimates by Spark-distributed Monte Carlo (§3.2),
   * [[runExact]] exactly (Prop. 2.9).
@@ -95,14 +95,14 @@ object PlaqueTest {
       iterations: Long,
       seed: Long = 42,
   ): Result =
-    pipeline(inst, fds, iterations)(MonteCarlo.estimateSpark(spark, _, iterations, seed))
+    pipeline(inst, fds, iterations)(MonteCarlo.sampleSpark(spark, _, iterations, seed))
 
   /** Run the plaque test with *exact* clause-based entropies. A position
     * whose clause-cell union exceeds 26 cells is an
     * `IllegalArgumentException` naming the position and the union size.
     */
   def runExact(inst: Instance, fds: Seq[FD]): Result =
-    pipeline(inst, fds, 0L)(_.map { case (p, cls) => p -> ExactEntropy.viaClauses(p, cls) })
+    pipeline(inst, fds, 0L)(_.map { case (p, mc) => p -> ExactEntropy.viaClauses(p, mc) })
 
   /** Convenience entry point from a DataFrame with name-level FDs. */
   def fromDataFrame(
@@ -118,19 +118,19 @@ object PlaqueTest {
   }
 
   /** The one plaque pipeline: check `I ⊨ F`, close `F` (§2.1), build the
-    * witness clauses of every position (§3.1), estimate the positions that
-    * have clauses, and fill in `INF = 1` for all others (Prop. 3.2).
-    * `estimate` receives only non-empty clause sets and must return a value
-    * for each of its keys.
+    * lowered witness clauses of every position once (§3.1, `Clauses.index`),
+    * estimate the positions that have clauses, and fill in `INF = 1` for all
+    * others (Prop. 3.2). `estimate` receives only non-empty clause sets and
+    * must return a value for each of its keys.
     *
     * The clause reformulation assumes `I ⊨ F` (hence `I ⊨ F*`), so an FD
     * that does not hold is rejected ([[FDs.requireHolds]]).
     */
   private[core] def pipeline(inst: Instance, fds: Seq[FD], iterations: Long)(
-      estimate: Map[Pos, Vector[Set[Pos]]] => Map[Pos, Double]): Result = {
+      estimate: Map[Pos, MonteCarlo.MaskedClauses] => Map[Pos, Double]): Result = {
     FDs.requireHolds(inst, fds)
     val closed = FDs.closure(fds)
-    val below = estimate(Clauses.forAllPositions(inst, closed))
+    val below = estimate(Clauses.index(inst, closed).map { case (p, l) => p -> l.mc })
     val matrix = Vector.tabulate(inst.nRows, inst.arity) { (j, k) =>
       below.getOrElse(Pos(j, k), 1.0)
     }

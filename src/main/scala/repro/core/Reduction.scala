@@ -14,8 +14,10 @@ object Reduction {
     * @param sub    the sub-instance `I(J, K)`
     * @param rowMap sub row index -> full row index (ascending)
     * @param colMap sub col index -> full col index (ascending)
+    * @param nonUnique the non-unique positions of the full instance (Prop. 3.2),
+    *               whose rows make up `J₀`
     */
-  final case class Reduced(sub: Instance, rowMap: Vector[Int], colMap: Vector[Int]) {
+  final case class Reduced(sub: Instance, rowMap: Vector[Int], colMap: Vector[Int], nonUnique: Set[Pos]) {
     private lazy val colInv: Map[Int, Int] = colMap.zipWithIndex.toMap
 
     /** Map a subtable position back to full coordinates. */
@@ -30,8 +32,9 @@ object Reduction {
 
   /** Compute `I(J₀, K₀)` for the given (closed) FD set. */
   def reduce(inst: Instance, fds: Seq[FD]): Reduced = {
-    val j0 = Uniqueness.nonUniquePositions(inst, fds).map(_.row).toVector.sorted
+    val nonUnique = Uniqueness.nonUniquePositions(inst, fds)
+    val j0 = nonUnique.map(_.row).toVector.sorted
     val k0 = fds.filterNot(_.trivial).flatMap(f => f.lhs + f.rhs).distinct.sorted.toVector
-    Reduced(inst.subInstance(j0, k0), j0, k0)
+    Reduced(inst.subInstance(j0, k0), j0, k0, nonUnique)
   }
 }

@@ -8,9 +8,9 @@ import org.apache.spark.sql.functions._
   * `INF = 1` iff no other tuple agrees with tuple `j` on the LHS of any FD
   * `L→B` — then its entropy need not be computed at all.
   *
-  * Locally the non-unique positions are the key set of
-  * [[Clauses.forAllPositions]]. Over DataFrames, [[nonUniqueDF]] finds them
-  * with a window `count` per FD LHS — the groupBy/aggregate redundancy scan
+  * Locally the non-unique positions are the key set of [[Clauses.index]].
+  * Over DataFrames, [[nonUniqueDF]] finds them with a window `count` per FD
+  * LHS — the groupBy/aggregate redundancy scan
   * that scales past driver memory. The two are cross-checked against each
   * other and against the DuckDB oracle in the test suite.
   */
@@ -20,22 +20,28 @@ object Uniqueness {
     * entropy is strictly below 1 by Prop. 3.2.
     */
   def nonUniquePositions(inst: Instance, fds: Seq[FD]): Set[Pos] =
-    Clauses.forAllPositions(inst, fds).keySet
+    Clauses.index(inst, fds).keySet
 
   /** Distributed variant: returns a DataFrame `(idCol, attr)` listing every
     * non-unique position of `df` (tuples identified by `idCol`) w.r.t. the
     * name-level FDs. One window-count scan per FD; Spark shares shuffles
-    * across FDs with a common LHS.
+    * across FDs with a common LHS. An empty-LHS FD `∅ → B` puts all rows in
+    * one group, so it is decided by one row count instead of a window over a
+    * single partition: every row is non-unique iff there are at least two.
     */
   def nonUniqueDF(df: DataFrame, fds: Seq[(Seq[String], String)], idCol: String): DataFrame = {
     require(fds.nonEmpty, "no FDs given")
-    val perFd = fds.filterNot { case (l, r) => l.contains(r) }.map { case (lhs, rhs) =>
-      val w = Window.partitionBy(lhs.map(col): _*)
-      df.select(col(idCol), count(lit(1)).over(w).as("grp_n"))
-        .where(col("grp_n") > 1)
-        .select(col(idCol), lit(rhs).as("attr"))
+    lazy val manyRows = df.limit(2).count() > 1
+    val perFd = fds.filterNot { case (l, r) => l.contains(r) }.flatMap {
+      case (lhs, rhs) if lhs.isEmpty =>
+        Option.when(manyRows)(df.select(col(idCol), lit(rhs).as("attr")))
+      case (lhs, rhs) =>
+        val w = Window.partitionBy(lhs.map(col): _*)
+        Some(df.select(col(idCol), count(lit(1)).over(w).as("grp_n"))
+          .where(col("grp_n") > 1)
+          .select(col(idCol), lit(rhs).as("attr")))
     }
-    if (perFd.isEmpty) df.select(col(idCol), lit("").as("attr")).limit(0) // only trivial FDs
+    if (perFd.isEmpty) df.select(col(idCol), lit("").as("attr")).limit(0) // nothing non-unique
     else perFd.reduce(_.union(_)).distinct()
   }
 

@@ -31,7 +31,7 @@ class ExactEntropySpec extends AnyFunSuite {
   test("Example 3.4: viaClauses matches the naive value exactly") {
     for (p <- ex34.positions) {
       val n = ExactEntropy.compute(ex34, closed, p)
-      val c = ExactEntropy.viaClauses(TestGen.referenceClauses(ex34, closed, p))
+      val c = TestGen.viaClauses(TestGen.referenceClauses(ex34, closed, p))
       assert(math.abs(n - c) < 1e-12, s"at $p")
     }
   }
@@ -45,12 +45,12 @@ class ExactEntropySpec extends AnyFunSuite {
   }
 
   test("viaClauses of an empty clause set is 1") {
-    assert(ExactEntropy.viaClauses(Vector.empty) == 1.0)
+    assert(TestGen.viaClauses(Vector.empty) == 1.0)
   }
 
   test("viaClauses of a single 3-cell clause is 7/8") {
     val cls = Vector(Set(Pos(0, 0), Pos(1, 0), Pos(1, 2)))
-    assert(math.abs(ExactEntropy.viaClauses(cls) - 0.875) < 1e-12)
+    assert(math.abs(TestGen.viaClauses(cls) - 0.875) < 1e-12)
   }
 
   test("viaClauses of two disjoint 3-cell clauses is (7/8)^2") {
@@ -58,7 +58,7 @@ class ExactEntropySpec extends AnyFunSuite {
       Set(Pos(0, 0), Pos(1, 0), Pos(1, 2)),
       Set(Pos(2, 0), Pos(3, 0), Pos(3, 2)),
     )
-    assert(math.abs(ExactEntropy.viaClauses(cls) - 0.875 * 0.875) < 1e-12)
+    assert(math.abs(TestGen.viaClauses(cls) - 0.875 * 0.875) < 1e-12)
   }
 
   test("viaClauses of two pivot-sharing clauses is 25/32 (Example 1.1 shape)") {
@@ -66,20 +66,20 @@ class ExactEntropySpec extends AnyFunSuite {
       Set(Pos(0, 0), Pos(1, 0), Pos(1, 1)),
       Set(Pos(0, 0), Pos(2, 0), Pos(2, 1)),
     )
-    assert(math.abs(ExactEntropy.viaClauses(cls) - 25.0 / 32.0) < 1e-12)
+    assert(math.abs(TestGen.viaClauses(cls) - 25.0 / 32.0) < 1e-12)
   }
 
   test("viaClauses refuses oversized clause unions") {
     val big = Vector.tabulate(30)(i => Set(Pos(i, 0), Pos(i, 1)))
-    assertThrows[IllegalArgumentException](ExactEntropy.viaClauses(big))
+    assertThrows[IllegalArgumentException](TestGen.viaClauses(big))
   }
 
   test("viaClauses accepts a 26-cell union and refuses a 27-cell one") {
     // 13 disjoint 2-cell clauses: 3^13 of the 2^26 subsets hit every clause.
     val pairs = Vector.tabulate(13)(i => Set(Pos(i, 0), Pos(i, 1)))
-    assert(ExactEntropy.viaClauses(pairs) == 1594323.0 / (1L << 26))
+    assert(TestGen.viaClauses(pairs) == 1594323.0 / (1L << 26))
     assert(TestGen.referenceViaClauses(pairs) == 1594323.0 / (1L << 26))
-    val e = intercept[IllegalArgumentException](ExactEntropy.viaClauses(pairs :+ Set(Pos(13, 0))))
+    val e = intercept[IllegalArgumentException](TestGen.viaClauses(pairs :+ Set(Pos(13, 0))))
     assert(e.getMessage.contains("27 cells"), e.getMessage)
   }
 
@@ -91,7 +91,7 @@ class ExactEntropySpec extends AnyFunSuite {
       for (seed <- 0 until 25) {
         val cls = TestGen.clauseSet(n, 1000L * n + seed)
         assert(MonteCarlo.mask(cls).nVars == n)
-        assert(ExactEntropy.viaClauses(cls) == TestGen.referenceViaClauses(cls), s"seed $seed: $cls")
+        assert(TestGen.viaClauses(cls) == TestGen.referenceViaClauses(cls), s"seed $seed: $cls")
       }
     }
   }
@@ -119,8 +119,8 @@ class ExactEntropySpec extends AnyFunSuite {
       Vector(Set(c(0), c(6)), Set(c(1), c(7)), Set(c(2), c(3), c(4), c(5)), Set(c(8)), Set(c(8))),
     )
     for (cls <- cases) {
-      assert(ExactEntropy.viaClauses(cls) == TestGen.referenceViaClauses(cls), s"$cls")
-      assert(ExactEntropy.viaClauses(cls) == ExactEntropy.viaClauses(TestGen.minimizeClauses(cls)))
+      assert(TestGen.viaClauses(cls) == TestGen.referenceViaClauses(cls), s"$cls")
+      assert(TestGen.viaClauses(cls) == TestGen.viaClauses(TestGen.minimizeClauses(cls)))
     }
     // Every clause of `low` lowers to cells 0–5, the appended ones to cells ≥ 6.
     val v = MonteCarlo.mask(cases(3)).vars
@@ -210,7 +210,7 @@ class ExactEntropySpec extends AnyFunSuite {
       assert(res.nonUnique == Uniqueness.nonUniquePositions(inst, closed))
       for (p <- inst.positions) {
         val n = ExactEntropy.compute(inst, closed, p)
-        val c = ExactEntropy.viaClauses(TestGen.referenceClauses(inst, closed, p))
+        val c = TestGen.viaClauses(TestGen.referenceClauses(inst, closed, p))
         assert(math.abs(n - c) < 1e-12, s"naive=$n clause=$c at $p inst=$inst fds=$fds")
         assert(math.abs(n - opt.entropies(p)) < 1e-12, s"naive=$n opt=${opt.entropies(p)} at $p")
         assert(math.abs(n - res.entropy(p)) < 1e-12, s"naive=$n runExact=${res.entropy(p)} at $p")

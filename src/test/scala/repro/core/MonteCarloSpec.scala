@@ -4,7 +4,7 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkList
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.SparkSpec
-import repro.exp.Experiments
+import repro.exp.{Experiments, Fig3Exp}
 
 class MonteCarloSpec extends AnyFunSuite with SparkSpec {
 
@@ -51,6 +51,14 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
     val mc = MonteCarlo.mask(cls)
     assert(mc.nVars == 70)
     assert(mc.vars.map(_.toSeq).toSeq == (0 until 70).map(Seq(_)))
+  }
+
+  test("mask numbers cells first-seen, each clause's cells in ascending (row, col) order") {
+    // The 5-cell clause is a HashSet, whose iteration order is not (row, col) order.
+    val five = Set(Pos(3, 1), Pos(0, 2), Pos(3, 0), Pos(0, 0), Pos(3, 2))
+    val mc = MonteCarlo.mask(Vector(Set(Pos(3, 0)), five, Set(Pos(3, 2)), Set(Pos(0, 2), Pos(3, 1))))
+    assert(mc.nVars == 5)
+    assert(mc.vars.map(_.toSeq).toSeq == Seq(Seq(0), Seq(0, 1, 2, 3, 4), Seq(4), Seq(2, 3)))
   }
 
   test("estimate rejects a non-positive iteration count") {
@@ -101,7 +109,7 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
       val closed = FDs.closure(fds)
       for (p <- inst.positions.take(6)) {
         val cls = TestGen.referenceClauses(inst, closed, p)
-        val exact = ExactEntropy.viaClauses(cls)
+        val exact = TestGen.viaClauses(cls)
         val est = MonteCarlo.estimate(MonteCarlo.mask(cls), 100000, seed)
         assert(math.abs(est - exact) < 0.015, s"est=$est exact=$exact at $p")
       }
@@ -170,7 +178,7 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
       if (all.nonEmpty) {
         val spark_ = MonteCarlo.estimateSpark(spark, all, 50000, seed)
         for ((p, e) <- spark_) {
-          val exact = ExactEntropy.viaClauses(all(p))
+          val exact = TestGen.viaClauses(all(p))
           assert(math.abs(e - exact) < 0.025, s"seed=$seed p=$p spark=$e exact=$exact")
         }
       }
@@ -209,6 +217,20 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
       val run = PlaqueTest.run(spark, inst, fds, 180001, seed)
       val local = MonteCarlo.matrixLocal(inst, fds, 180001, seed)
       for (p <- inst.positions) assert(run.entropy(p) == local(p), s"seed=$seed p=$p")
+    }
+  }
+
+  test("estimateSpark(forAllPositions) ≡ run ≡ matrixLocal exactly on the five mimics (20,000 iterations)") {
+    for (d <- Fig3Exp.DatasetNames) {
+      val prep = Experiments.prepare(spark, d)
+      val run = PlaqueTest.run(spark, prep.inst, prep.fds, 20000, 42)
+      val replica = MonteCarlo.estimateSpark(spark, Clauses.forAllPositions(prep.inst, FDs.closure(prep.fds)), 20000, 42)
+      val local = MonteCarlo.matrixLocal(prep.inst, prep.fds, 20000, 42)
+      assert(replica.keySet == run.nonUnique && run.nonUnique.nonEmpty, d)
+      for (p <- prep.inst.positions) {
+        assert(run.entropy(p) == replica.getOrElse(p, 1.0), s"$d at $p")
+        assert(run.entropy(p) == local(p), s"$d at $p")
+      }
     }
   }
 

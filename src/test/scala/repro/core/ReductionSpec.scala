@@ -67,6 +67,16 @@ class ReductionSpec extends AnyFunSuite {
     }
   }
 
+  test("reduce carries the non-unique positions whose rows make up J0") {
+    for (seed <- 200L until 225L) {
+      val (inst, fds) = TestGen.instanceWithFds(seed)
+      val closed = FDs.closure(fds)
+      val red = Reduction.reduce(inst, closed)
+      assert(red.nonUnique == Uniqueness.nonUniquePositions(inst, closed), s"seed $seed")
+      assert(red.rowMap == red.nonUnique.map(_.row).toVector.sorted, s"seed $seed")
+    }
+  }
+
   test("reduction of a redundancy-free instance is empty") {
     val free = Instance(Vector("A", "B"), Vector(Vector(1, 1), Vector(2, 2)))
     val red = Reduction.reduce(free, FDs.closure(Vector(FD(Set(0), 1))))

@@ -19,36 +19,69 @@ object TestGen {
       val nRows = 2 + rng.nextInt(maxRows - 1)
       val nCols = 2 + rng.nextInt(maxCols - 1)
       val attrs = Vector.tabulate(nCols)(k => s"A$k")
-      var rows = Vector.fill(nRows)(Vector.fill(nCols)(rng.nextInt(3)))
+      val rows = Vector.fill(nRows)(Vector.fill(nCols)(rng.nextInt(3)))
       val fds = Vector.fill(1 + rng.nextInt(maxFds)) {
         val rhs = rng.nextInt(nCols)
         val lhsSize = 1 + rng.nextInt(math.min(2, nCols - 1))
         val lhs = rng.shuffle((0 until nCols).filterNot(_ == rhs).toList).take(lhsSize).toSet
         FD(lhs, rhs)
       }.distinct
-      // Repair: force each FD's RHS to the group representative, to fixpoint.
-      var it = 0
-      var stable = false
-      while (it < 25 && !stable) {
-        stable = true
-        for (fd <- fds) {
-          val lhs = fd.lhs.toVector.sorted
-          val repr = scala.collection.mutable.Map.empty[Vector[Int], Int]
-          rows = rows.map { r =>
-            val key = lhs.map(r)
-            val v = repr.getOrElseUpdate(key, r(fd.rhs))
-            if (r(fd.rhs) != v) { stable = false; r.updated(fd.rhs, v) }
-            else r
-          }
-        }
-        it += 1
+      repaired(attrs, rows, fds) match {
+        case Some(inst) => return (inst, fds)
+        case None => attempt += 1
       }
-      val inst = Instance(attrs, rows)
-      if (stable && FDs.closure(fds).forall(FDs.violation(inst, _).isEmpty))
-        return (inst, fds)
-      attempt += 1
     }
     throw new IllegalStateException(s"no repairable instance for seed $seed")
+  }
+
+  /** Like [[instanceWithFds]], with 2–7 rows, 3–6 columns over `{0, 1, 2}`,
+    * some columns constant, and 1–4 FDs whose LHSs have 0–4 columns.
+    */
+  def instanceWithWideFds(seed: Long): (Instance, Vector[FD]) = {
+    val rng = new Random(seed)
+    var attempt = 0
+    while (attempt < 50) {
+      val nRows = 2 + rng.nextInt(6)
+      val nCols = 3 + rng.nextInt(4)
+      val attrs = Vector.tabulate(nCols)(k => s"A$k")
+      val constant = Vector.fill(nCols)(rng.nextInt(4) == 0)
+      val rows = Vector.fill(nRows)(Vector.tabulate(nCols)(k => if (constant(k)) 1 else rng.nextInt(3)))
+      val fds = Vector.fill(1 + rng.nextInt(4)) {
+        val rhs = rng.nextInt(nCols)
+        val lhs = rng.shuffle((0 until nCols).filterNot(_ == rhs).toList).take(rng.nextInt(math.min(5, nCols))).toSet
+        FD(lhs, rhs)
+      }.distinct
+      repaired(attrs, rows, fds) match {
+        case Some(inst) => return (inst, fds)
+        case None => attempt += 1
+      }
+    }
+    throw new IllegalStateException(s"no repairable instance for seed $seed")
+  }
+
+  /** Force each FD's RHS to its group representative, to a fixpoint; the
+    * instance if that converges and fulfils the closure.
+    */
+  private def repaired(attrs: Vector[String], start: Vector[Vector[Int]], fds: Vector[FD]): Option[Instance] = {
+    var rows = start
+    var it = 0
+    var stable = false
+    while (it < 25 && !stable) {
+      stable = true
+      for (fd <- fds) {
+        val lhs = fd.lhs.toVector.sorted
+        val repr = scala.collection.mutable.Map.empty[Vector[Int], Int]
+        rows = rows.map { r =>
+          val key = lhs.map(r)
+          val v = repr.getOrElseUpdate(key, r(fd.rhs))
+          if (r(fd.rhs) != v) { stable = false; r.updated(fd.rhs, v) }
+          else r
+        }
+      }
+      it += 1
+    }
+    val inst = Instance(attrs, rows)
+    Option.when(stable && FDs.closure(fds).forall(FDs.violation(inst, _).isEmpty))(inst)
   }
 
   /** The witness clauses of `p` by definition: one rescan of all rows per FD
@@ -177,6 +210,11 @@ object TestGen {
     }
     (arity, fds.result())
   }
+
+  /** `ExactEntropy.viaClauses` of clauses over positions, lowered by
+    * `MonteCarlo.mask`.
+    */
+  def viaClauses(clauses: Seq[Set[Pos]]): Double = ExactEntropy.viaClauses(MonteCarlo.mask(clauses))
 
   /** The subset-at-a-time enumeration that `ExactEntropy.viaClauses`
     * replaced, kept as its oracle: the values must match bit for bit.

@@ -1,12 +1,14 @@
 package repro.core
 
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.window.WindowExec
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{Oracle, SparkSpec}
 import repro.data.Datasets
 import repro.fdiscovery.FDDiscovery
 
-class UniquenessSpec extends AnyFunSuite with SparkSpec {
+class UniquenessSpec extends AnyFunSuite with SparkSpec with AdaptiveSparkPlanHelper {
 
   private val ex34 = Instance(
     Vector("A", "B", "C", "D"),
@@ -43,7 +45,7 @@ class UniquenessSpec extends AnyFunSuite with SparkSpec {
       val closed = FDs.closure(fds)
       val nu = Uniqueness.nonUniquePositions(inst, closed)
       for (p <- inst.positions) {
-        val inf = ExactEntropy.viaClauses(TestGen.referenceClauses(inst, closed, p))
+        val inf = TestGen.viaClauses(TestGen.referenceClauses(inst, closed, p))
         assert((inf == 1.0) == !nu.contains(p), s"at $p inf=$inf inst=$inst fds=$fds")
       }
     }
@@ -134,13 +136,29 @@ class UniquenessSpec extends AnyFunSuite with SparkSpec {
     val local = Uniqueness
       .nonUniquePositions(inst, FDs.byName(inst.attrs, fds))
       .map(p => (p.row.toLong, inst.attrs(p.col)))
-    val dist = Uniqueness
-      .nonUniqueDF(df, fds, "id")
-      .collect()
-      .map(r => (r.getLong(0), r.getString(1)))
-      .toSet
+    val nonUnique = Uniqueness.nonUniqueDF(df, fds, "id")
+    val dist = nonUnique.collect().map(r => (r.getLong(0), r.getString(1))).toSet
     assert(local.size == 132)
     assert(dist == local)
+    Oracle.assertEquivalent(
+      nonUnique.selectExpr("cast(id as string) as id", "attr"),
+      "SELECT id, 'name' AS attr FROM (SELECT id, COUNT(*) OVER () AS c FROM echo) WHERE c > 1",
+      "echo" -> df.select("id", "name"),
+    )
+  }
+
+  test("nonUniqueDF decides ∅ → B without a window over one partition") {
+    val df = Datasets.echocardiogram(spark)
+    val nonUnique = Uniqueness.nonUniqueDF(df, Seq(Seq.empty[String] -> "name", Seq("group") -> "name"), "id")
+    nonUnique.collect()
+    val windows = collect(nonUnique.queryExecution.executedPlan) { case w: WindowExec => w.partitionSpec }
+    assert(windows.size == 1 && windows.forall(_.nonEmpty), windows)
+  }
+
+  test("nonUniqueDF: ∅ → B leaves a one-row table unique") {
+    val one = Datasets.echocardiogram(spark).limit(1)
+    assert(Uniqueness.nonUniqueDF(one, Seq(Seq.empty[String] -> "name"), "id").count() == 0)
+    assert(Uniqueness.nonUniqueDF(one.limit(0), Seq(Seq.empty[String] -> "name"), "id").count() == 0)
   }
 
   test("fdHolds is true for the planted satellite FDs") {

@@ -17,10 +17,9 @@ import repro.core.MonteCarlo.MaskedClauses
   *
   * Hence `(I_{Q←X})_{p←a} ⊨ F*` iff **every** witness clause contains at
   * least one position of `Q` — a monotone-CNF "hit every clause" condition.
-  * Uniqueness, the reduction and every estimator read [[index]];
-  * [[forAllPositions]] is its `Set[Pos]` view. The equivalence with the
-  * literal Definition 2.4 check (a `TestGen` oracle) is exercised
-  * property-style in the test suite.
+  * Every estimator reads [[index]]; [[forAllPositions]] is its `Set[Pos]`
+  * view. The equivalence with the literal Definition 2.4 check (a `TestGen`
+  * oracle) is exercised property-style in the test suite.
   */
 object Clauses {
 
@@ -41,10 +40,8 @@ object Clauses {
     * Clauses come in FD order, then by witness row ascending. Cells are
     * numbered first-seen over the clauses, each clause's cells taken in
     * ascending `(row, col)` order; `vars(i)` lists clause `i`'s numbers in
-    * ascending order. Group keys are primitive: the first pass packs the
-    * first two LHS columns into one `Long`, each further column refines the
-    * group ids, an open-addressing table turns keys into dense group ids, and
-    * a stamp array renumbers the cells per position.
+    * ascending order. Rows are grouped by [[Partition]]; a stamp array
+    * renumbers the cells per position.
     *
     * `closedFds` must be `FDs.closure` output. Then no clause of a position
     * contains another: a clause of `p = (j, B)` has one cell in column `B`,
@@ -53,20 +50,18 @@ object Clauses {
     * sets may yield a superset clause, which never changes `X(Q)`.
     */
   def index(inst: Instance, closedFds: Seq[FD]): Map[Pos, Lowered] = {
-    val n = inst.nRows
     val m = inst.arity
-    val cols = Array.tabulate(m)(k => Array.tabulate(n)(j => inst.rows(j)(k)))
     // owner(c) is the last position id that numbered cell c, as number(c).
     val owner = Array.fill(inst.nCells)(-1)
     val number = new Array[Int](inst.nCells)
     var pid = -1
-    val ids = new DenseIds(n)
+    val partition = Partition.of(inst)
     val out = Map.newBuilder[Pos, Lowered]
     for ((b, fds) <- closedFds.filterNot(_.trivial).groupBy(_.rhs)) {
       val lhs = fds.map(_.lhs.toArray.sorted).toArray
       val withRhs = fds.map(f => (f.lhs + b).toArray.sorted).toArray
-      val groups = lhs.map(group(cols, n, _, ids))
-      for (j <- 0 until n if groups.exists(_.shared(j))) {
+      val groups = lhs.map(partition)
+      for (j <- 0 until inst.nRows if groups.exists(_.shared(j))) {
         pid += 1
         val cells = Array.newBuilder[Int]
         var nVars = 0
@@ -108,63 +103,4 @@ object Clauses {
     */
   def forAllPositions(inst: Instance, closedFds: Seq[FD]): Map[Pos, Vector[Set[Pos]]] =
     index(inst, closedFds).map { case (p, l) => p -> l.clauses(inst.arity) }
-
-  /** Rows grouped by their LHS values: row `j` is in group `gid(j)`, whose
-    * rows are `members(from(j) until until(j))`, ascending.
-    */
-  private final class Groups(gid: Array[Int], start: Array[Int], val members: Array[Int]) {
-    def from(j: Int): Int = start(gid(j))
-    def until(j: Int): Int = start(gid(j) + 1)
-
-    /** Whether another row agrees with row `j` on the LHS. */
-    def shared(j: Int): Boolean = until(j) - from(j) > 1
-  }
-
-  private def pack(hi: Int, lo: Int): Long = hi.toLong << 32 | (lo & 0xffffffffL)
-
-  /** Dense ids `0, 1, …` for the distinct `Long` keys of one pass over at
-    * most `n` rows: linear probing in a table of at least `2n` slots, which
-    * [[reset]] clears by moving to a new epoch.
-    */
-  private final class DenseIds(n: Int) {
-    private val bits = 32 - Integer.numberOfLeadingZeros(math.max(2 * n - 1, 1))
-    private val keys = new Array[Long](1 << bits)
-    private val ids = new Array[Int](1 << bits)
-    private val epochOf = new Array[Int](1 << bits)
-    private var epoch = 0
-    var size = 0
-
-    def reset(): Unit = { epoch += 1; size = 0 }
-
-    def apply(key: Long): Int = {
-      var i = ((key * 0x9e3779b97f4a7c15L) >>> (64 - bits)).toInt
-      while (epochOf(i) == epoch && keys(i) != key) i = (i + 1) & (keys.length - 1)
-      if (epochOf(i) != epoch) { epochOf(i) = epoch; keys(i) = key; ids(i) = size; size += 1 }
-      ids(i)
-    }
-  }
-
-  /** Group the `n` rows by the `lhs` columns of `cols`. */
-  private def group(cols: Array[Array[Int]], n: Int, lhs: Array[Int], ids: DenseIds): Groups = {
-    var gid = new Array[Int](n)
-    var nGroups = math.min(n, 1)
-    def relabel(key: Int => Long): Unit = {
-      ids.reset()
-      val next = new Array[Int](n)
-      var j = 0
-      while (j < n) { next(j) = ids(key(j)); j += 1 }
-      gid = next
-      nGroups = ids.size
-    }
-    if (lhs.length == 1) relabel(j => cols(lhs(0))(j).toLong)
-    if (lhs.length >= 2) relabel(j => pack(cols(lhs(0))(j), cols(lhs(1))(j)))
-    for (c <- lhs.drop(2)) { val g = gid; relabel(j => pack(g(j), cols(c)(j))) }
-    val start = new Array[Int](nGroups + 1)
-    gid.foreach(g => start(g + 1) += 1)
-    for (g <- 0 until nGroups) start(g + 1) += start(g)
-    val fill = start.clone()
-    val members = new Array[Int](n)
-    for (j <- 0 until n) { members(fill(gid(j))) = j; fill(gid(j)) += 1 }
-    new Groups(gid, start, members)
-  }
 }

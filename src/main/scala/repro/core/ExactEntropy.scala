@@ -209,17 +209,13 @@ object ExactEntropy {
     * hits are the AND over clauses (early exit once no lane is left),
     * counted with `Long.bitCount`; for `n < 6` only the low `2^n` lanes of
     * the single word count. Returns `hits / 2^n`, bit for bit what a
-    * subset-at-a-time loop gives.
+    * subset-at-a-time loop gives. `mc` are the lowered clauses of `p`,
+    * which a refusal names.
     */
-  def viaClauses(mc: MonteCarlo.MaskedClauses): Double = truthTable(mc, "")
-
-  /** [[viaClauses]] for the lowered clauses of `p`; a refusal names `p`. */
-  private[core] def viaClauses(p: Pos, mc: MonteCarlo.MaskedClauses): Double = truthTable(mc, s" of position $p")
-
-  private def truthTable(mc: MonteCarlo.MaskedClauses, of: => String): Double = {
+  private[core] def viaClauses(p: Pos, mc: MonteCarlo.MaskedClauses): Double = {
     if (mc.vars.isEmpty) return 1.0
     val n = mc.nVars
-    require(n <= MaxVars, s"clause-cell union$of has $n cells, more than the $MaxVars exact enumeration allows")
+    require(n <= MaxVars, s"clause-cell union of position $p has $n cells, more than the $MaxVars exact enumeration allows")
     // MaxVars < 64, so every clause fits in one word.
     val bits = mc.vars.map(_.foldLeft(0L)((acc, v) => acc | 1L << v))
     val high = bits.map(_ >>> 6)

@@ -42,21 +42,14 @@ object FDs {
   }
 
   /** Two row ids that agree on `fd`'s LHS and differ on its RHS, or `None`
-    * if `fd` holds in `inst` (Definition 2.3, hash-grouped). Trivial FDs
-    * always hold.
+    * if `fd` holds in `inst` (Definition 2.3): `(i, j)` for the least row `j`
+    * whose RHS differs from that of `i`, the first row of its [[Partition]]
+    * group. Trivial FDs hold, as a group agrees on the RHS too.
     */
   def violation(inst: Instance, fd: FD): Option[(Int, Int)] = {
-    if (fd.trivial) return None
-    val lhs = fd.lhs.toVector.sorted
-    val rows = inst.rows
-    val first = mutable.HashMap.empty[Vector[Int], Int]
-    var j = 0
-    while (j < rows.length) {
-      val i = first.getOrElseUpdate(lhs.map(rows(j)), j)
-      if (i != j && rows(i)(fd.rhs) != rows(j)(fd.rhs)) return Some((i, j))
-      j += 1
-    }
-    None
+    val g = Partition.of(inst)(fd.lhs.toArray)
+    val b = inst.columns(fd.rhs)
+    (0 until inst.nRows).find(j => b(g.first(j)) != b(j)).map(j => (g.first(j), j))
   }
 
   /** Throws an `IllegalArgumentException` naming the first FD of `fds` that

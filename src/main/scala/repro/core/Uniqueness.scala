@@ -8,19 +8,22 @@ import org.apache.spark.sql.functions._
   * `INF = 1` iff no other tuple agrees with tuple `j` on the LHS of any FD
   * `L→B` — then its entropy need not be computed at all.
   *
-  * Locally the non-unique positions are the key set of [[Clauses.index]].
-  * Over DataFrames, [[nonUniqueDF]] finds them with a window `count` per FD
-  * LHS — the groupBy/aggregate redundancy scan
-  * that scales past driver memory. The two are cross-checked against each
-  * other and against the DuckDB oracle in the test suite.
+  * Locally [[nonUniquePositions]] reads one [[Partition]] per FD. Over
+  * DataFrames, [[nonUniqueDF]] finds them with a window `count` per FD LHS —
+  * the groupBy/aggregate redundancy scan that scales past driver memory. The
+  * two are cross-checked against each other and against the DuckDB oracle in
+  * the test suite.
   */
 object Uniqueness {
 
   /** Positions that are NOT unique w.r.t. the FD set (Def. 3.1), i.e. whose
     * entropy is strictly below 1 by Prop. 3.2.
     */
-  def nonUniquePositions(inst: Instance, fds: Seq[FD]): Set[Pos] =
-    Clauses.index(inst, fds).keySet
+  def nonUniquePositions(inst: Instance, fds: Seq[FD]): Set[Pos] = {
+    val partition = Partition.of(inst)
+    val byRhs = fds.filterNot(_.trivial).groupBy(_.rhs).map { case (b, fs) => b -> fs.map(f => partition(f.lhs.toArray)) }
+    (for ((b, groups) <- byRhs; j <- 0 until inst.nRows if groups.exists(_.shared(j))) yield Pos(j, b)).toSet
+  }
 
   /** Distributed variant: returns a DataFrame `(idCol, attr)` listing every
     * non-unique position of `df` (tuples identified by `idCol`) w.r.t. the

@@ -144,4 +144,18 @@ class FDSpec extends AnyFunSuite {
     assert(FDs.violation(inst, FD(Set.empty[Int], 2)).isEmpty)
     assert(FDs.violation(inst, FD(Set(0, 1), 1)).isEmpty) // trivial
   }
+
+  test("violation ≡ referenceViolation (same rows) for every LHS and RHS on wide random instances") {
+    var found, clean = 0
+    for (seed <- 0 until 400) {
+      val (inst, _) = TestGen.instanceWithWideFds(seed)
+      for (l <- 0 until 1 << inst.arity; b <- 0 until inst.arity) {
+        val fd = FD((0 until inst.arity).filter(a => (l & 1 << a) != 0).toSet, b)
+        val got = FDs.violation(inst, fd)
+        assert(got == TestGen.referenceViolation(inst, fd), s"seed $seed: $fd on $inst")
+        if (got.isEmpty) clean += 1 else found += 1
+      }
+    }
+    assert(found > 1000 && clean > 1000, s"$found, $clean")
+  }
 }

@@ -84,6 +84,23 @@ object TestGen {
     Option.when(stable && FDs.closure(fds).forall(FDs.violation(inst, _).isEmpty))(inst)
   }
 
+  /** The hash-grouped Definition 2.3 check that `FDs.violation` replaced,
+    * kept as its oracle: both must return the same pair of rows.
+    */
+  def referenceViolation(inst: Instance, fd: FD): Option[(Int, Int)] = {
+    if (fd.trivial) return None
+    val lhs = fd.lhs.toVector.sorted
+    val rows = inst.rows
+    val first = scala.collection.mutable.HashMap.empty[Vector[Int], Int]
+    var j = 0
+    while (j < rows.length) {
+      val i = first.getOrElseUpdate(lhs.map(rows(j)), j)
+      if (i != j && rows(i)(fd.rhs) != rows(j)(fd.rhs)) return Some((i, j))
+      j += 1
+    }
+    None
+  }
+
   /** The witness clauses of `p` by definition: one rescan of all rows per FD
     * with RHS `p.col`, minimized by subsumption. `Clauses.forAllPositions`
     * must equal it, clause order included, on closed FD sets.
@@ -212,9 +229,9 @@ object TestGen {
   }
 
   /** `ExactEntropy.viaClauses` of clauses over positions, lowered by
-    * `MonteCarlo.mask`.
+    * `MonteCarlo.mask`, for a placeholder position `Pos(-1, -1)`.
     */
-  def viaClauses(clauses: Seq[Set[Pos]]): Double = ExactEntropy.viaClauses(MonteCarlo.mask(clauses))
+  def viaClauses(clauses: Seq[Set[Pos]]): Double = ExactEntropy.viaClauses(Pos(-1, -1), MonteCarlo.mask(clauses))
 
   /** The subset-at-a-time enumeration that `ExactEntropy.viaClauses`
     * replaced, kept as its oracle: the values must match bit for bit.

@@ -52,12 +52,12 @@ class UniquenessSpec extends AnyFunSuite with SparkSpec with AdaptiveSparkPlanHe
   }
 
   test("non-uniqueness ≡ existence of witness clauses") {
-    for (seed <- 400 until 420) {
-      val (inst, fds) = TestGen.instanceWithFds(seed)
-      val closed = FDs.closure(fds)
-      val nu = Uniqueness.nonUniquePositions(inst, closed)
-      val withClauses = inst.positions.filter(TestGen.referenceClauses(inst, closed, _).nonEmpty).toSet
-      assert(nu == withClauses, s"seed=$seed inst=$inst")
+    val inputs = (400 until 420).map(TestGen.instanceWithFds(_)) ++ (0 until 400).map(TestGen.instanceWithWideFds(_))
+    for (((inst, raw), i) <- inputs.zipWithIndex; fds <- Seq(raw, FDs.closure(raw))) {
+      val nu = Uniqueness.nonUniquePositions(inst, fds)
+      val withClauses = inst.positions.filter(TestGen.referenceClauses(inst, fds, _).nonEmpty).toSet
+      assert(nu == withClauses, s"input $i fds=$fds inst=$inst")
+      assert(nu == Clauses.index(inst, fds).keySet, s"input $i fds=$fds inst=$inst")
     }
   }
 

@@ -49,18 +49,19 @@ object Clauses {
     * nested LHSs, which the closure's per-RHS antichain rules out. Other FD
     * sets may yield a superset clause, which never changes `X(Q)`.
     */
-  def index(inst: Instance, closedFds: Seq[FD]): Map[Pos, Lowered] = {
+  def index(inst: Instance, closedFds: Seq[FD]): Map[Pos, Lowered] = index(inst, closedFds, Partition.of(inst))
+
+  private[core] def index(inst: Instance, closedFds: Seq[FD], partition: Set[Int] => Partition): Map[Pos, Lowered] = {
     val m = inst.arity
     // owner(c) is the last position id that numbered cell c, as number(c).
     val owner = Array.fill(inst.nCells)(-1)
     val number = new Array[Int](inst.nCells)
     var pid = -1
-    val partition = Partition.of(inst)
     val out = Map.newBuilder[Pos, Lowered]
     for ((b, fds) <- closedFds.filterNot(_.trivial).groupBy(_.rhs)) {
       val lhs = fds.map(_.lhs.toArray.sorted).toArray
       val withRhs = fds.map(f => (f.lhs + b).toArray.sorted).toArray
-      val groups = lhs.map(partition)
+      val groups = fds.map(f => partition(f.lhs)).toArray
       for (j <- 0 until inst.nRows if groups.exists(_.shared(j))) {
         pid += 1
         val cells = Array.newBuilder[Int]

@@ -46,10 +46,12 @@ object FDs {
     * whose RHS differs from that of `i`, the first row of its [[Partition]]
     * group. Trivial FDs hold, as a group agrees on the RHS too.
     */
-  def violation(inst: Instance, fd: FD): Option[(Int, Int)] = {
-    val g = Partition.of(inst)(fd.lhs.toArray)
-    val b = inst.columns(fd.rhs)
-    (0 until inst.nRows).find(j => b(g.first(j)) != b(j)).map(j => (g.first(j), j))
+  def violation(inst: Instance, fd: FD): Option[(Int, Int)] = violations(inst)(fd)
+
+  /** [[violation]] for many FDs over one instance, grouping each distinct LHS once. */
+  def violations(inst: Instance): FD => Option[(Int, Int)] = {
+    val partition = Partition.of(inst)
+    fd => partition(fd.lhs).violation(inst.columns(fd.rhs))
   }
 
   /** Throws an `IllegalArgumentException` naming the first FD of `fds` that
@@ -57,12 +59,14 @@ object FDs {
     * arity), or that does not hold in `inst` (with two rows that violate
     * it). Every entropy computation assumes `I ⊨ F` and checks it here.
     */
-  def requireHolds(inst: Instance, fds: Seq[FD]): Unit =
+  def requireHolds(inst: Instance, fds: Seq[FD]): Unit = requireHolds(inst, fds, Partition.of(inst))
+
+  private[core] def requireHolds(inst: Instance, fds: Seq[FD], partition: Set[Int] => Partition): Unit =
     for (f <- fds) {
       require((f.lhs + f.rhs).forall(a => a >= 0 && a < inst.arity),
         s"FD ${f.lhs.toSeq.sorted.mkString("{", ", ", "}")} -> ${f.rhs} names a column outside [0, ${inst.arity}) " +
           s"of an arity-${inst.arity} instance")
-      for ((i, j) <- violation(inst, f))
+      for ((i, j) <- partition(f.lhs).violation(inst.columns(f.rhs)))
         throw new IllegalArgumentException(
           s"FD ${f.render(inst.attrs)} does not hold: rows $i and $j agree on its LHS but differ on ${inst.attrs(f.rhs)}")
     }

@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.SplittableRandom
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 
 import org.apache.spark.sql.SparkSession
 
@@ -21,9 +22,9 @@ import org.apache.spark.sql.SparkSession
   *
   * Every non-unique cell's budget is cut into blocks of 25 000 iterations,
   * and block `b` of cell `p` draws from a generator seeded by a pure function
-  * of `(seed, p.row, p.col, b)`. [[matrixLocal]] runs the blocks in a loop,
-  * [[estimateSpark]] as the tasks of one shuffle-free Spark stage; both sum
-  * the same integer hit counts, so they return identical matrices.
+  * of `(seed, p.row, p.col, b)`. One block runner sums their integer hit
+  * counts, on one thread for [[matrixLocal]] and on one per core for
+  * `PlaqueTest.run` and [[estimateSpark]], so all return identical matrices.
   */
 object MonteCarlo {
 
@@ -95,17 +96,14 @@ object MonteCarlo {
   /** Iterations per block; the block index enters the block's seed. */
   private val BlockIters = 25000L
 
-  /** `(block index, iterations)` of every block of an `iters` budget. */
-  private def blocks(iters: Long): Seq[(Long, Long)] =
-    (0L until (iters + BlockIters - 1) / BlockIters).map(b => (b, math.min(BlockIters, iters - b * BlockIters)))
-
-  /** Hits of block `b` (`n` iterations) of cell `p`, seeded by a pure
+  /** Hits of block `b` of cell `p`'s `iters` budget, seeded by a pure
     * function of `(seed, p.row, p.col, b)` so that any schedule of the blocks
     * sums to the same count.
     */
-  private def blockHits(mc: MaskedClauses, p: Pos, seed: Long, b: Long, n: Long): Long = {
-    val s = Seq(p.row.toLong, p.col.toLong, b).foldLeft(seed)((h, x) => mix64(h + (x + 1) * 0x9e3779b97f4a7c15L))
-    hits(mc, n, new SplittableRandom(s))
+  private def blockHits(cell: (Pos, MaskedClauses), seed: Long, b: Int, iters: Long): Long = {
+    val (p, mc) = cell
+    val s = Seq(p.row.toLong, p.col.toLong, b.toLong).foldLeft(seed)((h, x) => mix64(h + (x + 1) * 0x9e3779b97f4a7c15L))
+    hits(mc, math.min(BlockIters, iters - b * BlockIters), new SplittableRandom(s))
   }
 
   /** SplitMix64's finalizer (Stafford's Mix13). */
@@ -116,19 +114,16 @@ object MonteCarlo {
   }
 
   /** Local MC entropy matrix: unique positions get exactly 1.0 (Prop. 3.2),
-    * the others are estimated with `iters` samples each, in the same blocks
-    * and with the same seeds as [[estimateSpark]], so
-    * `PlaqueTest.run(spark, inst, fds, iters, seed)` gives the same values.
+    * the others `iters` samples each on one sampler thread, with the blocks
+    * and values of `PlaqueTest.run(spark, inst, fds, iters, seed)`.
     */
   def matrixLocal(inst: Instance, fds: Seq[FD], iters: Long, seed: Long = 42): Map[Pos, Double] = {
     require(iters > 0, s"iteration count must be positive, got $iters")
-    PlaqueTest.pipeline(inst, fds, iters)(_.map { case (p, mc) =>
-      p -> blocks(iters).map { case (b, n) => blockHits(mc, p, seed, b, n) }.sum.toDouble / iters
-    }).byPosition
+    PlaqueTest.pipeline(inst, fds, iters)(sample(_, iters, seed, 1)).byPosition
   }
 
-  /** Distributed MC entropy estimates for the given positions: [[mask]] of
-    * each clause set, sampled as `PlaqueTest.run` samples `Clauses.index`.
+  /** MC entropy estimates for the given positions: [[mask]] of each clause
+    * set, sampled as `PlaqueTest.run` samples `Clauses.index`.
     *
     * @return per-position estimates for exactly the keys of `clausesByPos`
     */
@@ -138,46 +133,48 @@ object MonteCarlo {
       iters: Long,
       seed: Long = 42,
   ): Map[Pos, Double] =
-    sampleSpark(spark, clausesByPos.map { case (p, cls) => p -> mask(cls) }, iters, seed)
+    sample(clausesByPos.map { case (p, cls) => p -> mask(cls) }, iters, seed, workers(spark))
 
-  /** Distributed MC entropy estimates for lowered clause sets.
-    *
-    * The masked clause sets are broadcast, and every (position, block) pair
-    * is one element of an RDD; the job is a single stage of
-    * `min(#blocks, 4 · defaultParallelism)` tasks whose `(position, n, hits)`
-    * triples are collected and summed on the driver — no shuffle. A position
-    * whose collected blocks do not add up to `iters` iterations is an
-    * `IllegalStateException`, never a silent 0.
+  /** Sampler threads for a session: `defaultParallelism`, at most one per processor. */
+  private[core] def workers(spark: SparkSession): Int =
+    math.min(spark.sparkContext.defaultParallelism, Runtime.getRuntime.availableProcessors)
+
+  /** MC estimates for lowered clause sets on up to `workers` daemon threads
+    * `plaque-mc-<n>`, joined before the call returns. Work item `t` is block
+    * `t % nBlocks` of position `t / nBlocks`; workers claim items from one
+    * counter and store each block's hits in the item's slot. A worker's
+    * exception stops the others and is rethrown; a position with a block
+    * that never reported is an `IllegalStateException`, never a silent 0.
     */
-  private[core] def sampleSpark(
-      spark: SparkSession,
-      masked: Map[Pos, MaskedClauses],
-      iters: Long,
-      seed: Long,
-  ): Map[Pos, Double] = {
+  private[core] def sample(masked: Map[Pos, MaskedClauses], iters: Long, seed: Long, workers: Int): Map[Pos, Double] = {
     require(iters > 0, s"iteration count must be positive, got $iters")
-    if (masked.isEmpty) return Map.empty
-    val sc = spark.sparkContext
     val cells = masked.toArray
-    val bc = sc.broadcast(cells)
-    val tasks = for (pi <- cells.indices; (b, n) <- blocks(iters)) yield (pi, b, n)
-    val done = sc
-      .parallelize(tasks, math.min(tasks.size, 4 * sc.defaultParallelism))
-      .map { case (pi, b, n) =>
-        val (p, mc) = bc.value(pi)
-        (pi, n, blockHits(mc, p, seed, b, n))
-      }
-      .collect()
-    bc.destroy()
-
-    val sampled = new Array[Long](cells.length)
-    val hit = new Array[Long](cells.length)
-    for ((pi, n, h) <- done) { sampled(pi) += n; hit(pi) += h }
+    val nBlocks = Math.toIntExact((iters + BlockIters - 1) / BlockIters)
+    val hit = Array.fill(Math.multiplyExact(cells.length, nBlocks))(-1L)
+    val next = new AtomicInteger
+    val failure = new AtomicReference[Throwable]
+    def work(): Unit =
+      try {
+        var t = next.getAndIncrement()
+        while (t < hit.length) {
+          hit(t) = blockHits(cells(t / nBlocks), seed, t % nBlocks, iters)
+          t = next.getAndIncrement()
+        }
+      } catch { case e: Throwable => failure.compareAndSet(null, e); next.set(hit.length) }
+    val threads = Array.tabulate(math.min(workers, hit.length)) { i =>
+      val t = new Thread(() => work(), s"plaque-mc-$i")
+      t.setDaemon(true)
+      t
+    }
+    // On an early exit (a failed start, an interrupt) stop the workers and wait for them.
+    try { threads.foreach(_.start()); threads.foreach(_.join()) }
+    finally { next.set(hit.length); threads.foreach(_.join()) }
+    Option(failure.get).foreach(e => throw e)
     cells.indices.map { pi =>
-      val p = cells(pi)._1
-      if (sampled(pi) != iters)
-        throw new IllegalStateException(s"MC blocks of position $p cover ${sampled(pi)} of $iters iterations")
-      p -> hit(pi).toDouble / iters
+      val blocks = hit.slice(pi * nBlocks, (pi + 1) * nBlocks)
+      if (blocks.contains(-1L))
+        throw new IllegalStateException(s"position ${cells(pi)._1}: ${blocks.count(_ < 0)} of $nBlocks MC blocks missing")
+      cells(pi)._1 -> blocks.sum.toDouble / iters
     }.toMap
   }
 }

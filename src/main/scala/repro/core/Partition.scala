@@ -1,5 +1,8 @@
 package repro.core
 
+import scala.collection.immutable.BitSet
+import scala.collection.mutable
+
 /** Rows grouped by their values on an LHS, a partition as in TANE (Huhtala
   * et al., Comput. J. 1999): main code's one row grouping. Row `j` is in the
   * group `members(from(j) until until(j))`, listed ascending. Each LHS
@@ -16,14 +19,20 @@ private[core] final class Partition private (gid: Array[Int], start: Array[Int],
 
   /** Whether another row agrees with row `j` on the LHS. */
   def shared(j: Int): Boolean = until(j) - from(j) > 1
+
+  /** `(first(j), j)` for the least row `j` whose value in `col` differs from its group's first row's. */
+  def violation(col: Array[Int]): Option[(Int, Int)] = gid.indices.find(j => col(first(j)) != col(j)).map(j => (first(j), j))
 }
 
 private[core] object Partition {
 
-  /** Partitions `inst`'s rows by an LHS (the empty one gives one group), reusing one id table. */
-  def of(inst: Instance): Array[Int] => Partition = {
+  /** Partitions `inst`'s rows by an LHS (the empty one gives one group),
+    * reusing one id table and grouping each LHS once (memoized by its column bitmask).
+    */
+  def of(inst: Instance): Set[Int] => Partition = {
     val (cols, n, ids) = (inst.columns, inst.nRows, new DenseIds(inst.nRows))
-    lhs => {
+    val memo = mutable.HashMap.empty[BitSet, Partition]
+    lhs => memo.getOrElseUpdate(BitSet.fromSpecific(lhs), {
       var gid = new Array[Int](n)
       var nGroups = math.min(n, 1)
       for (c <- lhs) {
@@ -41,7 +50,7 @@ private[core] object Partition {
       val members = new Array[Int](n)
       for (j <- 0 until n) { members(fill(gid(j))) = j; fill(gid(j)) += 1 }
       new Partition(gid, start, members)
-    }
+    })
   }
 
   /** Dense ids `0, 1, …` for the distinct `Long` keys of one pass over at

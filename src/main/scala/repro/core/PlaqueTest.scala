@@ -7,8 +7,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   *
   * Pipeline = closure (§2.1) → lowered witness clauses (§3.1) → an estimator for the
   * positions that have clauses; every other position is unique and gets 1
-  * (Prop. 3.2). [[run]] estimates by Spark-distributed Monte Carlo (§3.2),
-  * [[runExact]] exactly (Prop. 2.9).
+  * (Prop. 3.2). [[run]] estimates by Monte Carlo (§3.2) on the session's
+  * cores as driver threads, [[runExact]] exactly (Prop. 2.9).
   */
 object PlaqueTest {
 
@@ -82,8 +82,9 @@ object PlaqueTest {
     }
   }
 
-  /** Run the plaque test with Spark-distributed Monte Carlo. The entropies
-    * equal `MonteCarlo.matrixLocal(inst, fds, iterations, seed)` exactly.
+  /** Run the plaque test with Monte Carlo on driver threads, as many as the
+    * session has cores; no Spark job runs. The entropies equal
+    * `MonteCarlo.matrixLocal(inst, fds, iterations, seed)` exactly.
     *
     * @param fds        the FD set `F` (closure is computed internally)
     * @param iterations MC iterations per non-unique cell
@@ -95,7 +96,7 @@ object PlaqueTest {
       iterations: Long,
       seed: Long = 42,
   ): Result =
-    pipeline(inst, fds, iterations)(MonteCarlo.sampleSpark(spark, _, iterations, seed))
+    pipeline(inst, fds, iterations)(MonteCarlo.sample(_, iterations, seed, MonteCarlo.workers(spark)))
 
   /** Run the plaque test with *exact* clause-based entropies. A position
     * whose clause-cell union exceeds 26 cells is an
@@ -118,9 +119,10 @@ object PlaqueTest {
   }
 
   /** The one plaque pipeline: check `I ⊨ F`, close `F` (§2.1), build the
-    * lowered witness clauses of every position once (§3.1, `Clauses.index`),
-    * estimate the positions that have clauses, and fill in `INF = 1` for all
-    * others (Prop. 3.2). `estimate` receives only non-empty clause sets and
+    * lowered witness clauses of every position once (§3.1, `Clauses.index`;
+    * it and the check group each LHS once, in one memoized [[Partition]]),
+    * estimate the positions that have clauses, and set `INF = 1` elsewhere
+    * (Prop. 3.2). `estimate` receives only non-empty clause sets and
     * must return a value for each of its keys.
     *
     * The clause reformulation assumes `I ⊨ F` (hence `I ⊨ F*`), so an FD
@@ -128,12 +130,11 @@ object PlaqueTest {
     */
   private[core] def pipeline(inst: Instance, fds: Seq[FD], iterations: Long)(
       estimate: Map[Pos, MonteCarlo.MaskedClauses] => Map[Pos, Double]): Result = {
-    FDs.requireHolds(inst, fds)
+    val partition = Partition.of(inst)
+    FDs.requireHolds(inst, fds, partition)
     val closed = FDs.closure(fds)
-    val below = estimate(Clauses.index(inst, closed).map { case (p, l) => p -> l.mc })
-    val matrix = Vector.tabulate(inst.nRows, inst.arity) { (j, k) =>
-      below.getOrElse(Pos(j, k), 1.0)
-    }
+    val below = estimate(Clauses.index(inst, closed, partition).map { case (p, l) => p -> l.mc })
+    val matrix = Vector.tabulate(inst.nRows, inst.arity)((j, k) => below.getOrElse(Pos(j, k), 1.0))
     Result(inst, matrix, below.keySet, closed, iterations)
   }
 }

@@ -21,7 +21,7 @@ object Uniqueness {
     */
   def nonUniquePositions(inst: Instance, fds: Seq[FD]): Set[Pos] = {
     val partition = Partition.of(inst)
-    val byRhs = fds.filterNot(_.trivial).groupBy(_.rhs).map { case (b, fs) => b -> fs.map(f => partition(f.lhs.toArray)) }
+    val byRhs = fds.filterNot(_.trivial).groupBy(_.rhs).map { case (b, fs) => b -> fs.map(f => partition(f.lhs)) }
     (for ((b, groups) <- byRhs; j <- 0 until inst.nRows if groups.exists(_.shared(j))) yield Pos(j, b)).toSet
   }
 

@@ -10,9 +10,9 @@ import repro.core._
   *
   * The paper measures its single-threaded prototype, so this grid times the
   * single-threaded sampler, [[MonteCarlo.matrixLocal]] (closure + clauses +
-  * per-position MC). It computes the same matrix as the Spark stage used by
-  * Figs. 3/6, whose fixed job overhead would hide the per-iteration scaling
-  * at these problem sizes. The sampler is bit-sliced (64 samples per machine
+  * per-position MC). It computes the same matrix as the one-thread-per-core
+  * runner used by Figs. 3/6, whose parallelism would hide the per-iteration
+  * scaling the paper timed. The sampler is bit-sliced (64 samples per machine
   * word), so one iteration costs about a 64th of a clause pass. The
   * reproduced signals are runtime ≈ linear in iterations and growing with the
   * row count.

@@ -28,28 +28,15 @@ object FDDiscovery {
     * domain; the paper's echocardiogram/NCVoter discussion relies on it).
     */
   def discoverLocal(inst: Instance, maxLhs: Int = 2): Vector[FD] = {
-    val cols = inst.attrs.indices.toVector
-    val out = Vector.newBuilder[FD]
-    for (rhs <- cols) {
-      var minimal = Vector.empty[Set[Int]]
-      var level: Vector[Set[Int]] = cols.filterNot(_ == rhs).map(Set(_))
-      var l = 1
-      while (l <= maxLhs && level.nonEmpty) {
-        val holding = level.filter(lhs => holdsLocal(inst, lhs, rhs))
-        minimal ++= holding
-        out ++= holding.map(FD(_, rhs))
-        if (l < maxLhs) {
-          level = cols
-            .filterNot(_ == rhs)
-            .combinations(l + 1)
-            .map(_.toSet)
-            .filterNot(cand => minimal.exists(_.subsetOf(cand)))
-            .toVector
-        } else level = Vector.empty
-        l += 1
-      }
+    val violation = FDs.violations(inst)
+    inst.attrs.indices.toVector.flatMap { rhs =>
+      val others = inst.attrs.indices.filterNot(_ == rhs)
+      // Level by level, the candidates of size `l` that contain no smaller FD's LHS.
+      (1 to maxLhs).foldLeft(Vector.empty[Set[Int]]) { (minimal, l) =>
+        minimal ++ others.combinations(l).map(_.toSet)
+          .filter(c => !minimal.exists(_.subsetOf(c)) && violation(FD(c, rhs)).isEmpty)
+      }.map(FD(_, rhs))
     }
-    out.result()
   }
 
   /** Does `lhs -> rhs` hold in the instance? (See [[FDs.violation]].) */

@@ -158,4 +158,19 @@ class FDSpec extends AnyFunSuite {
     }
     assert(found > 1000 && clean > 1000, s"$found, $clean")
   }
+
+  test("one violations checker ≡ referenceViolation for every FD of an instance, in random order") {
+    var shared = 0
+    for (seed <- 0 until 100) {
+      val (inst, _) = TestGen.instanceWithWideFds(seed)
+      val fds = for (l <- 0 until 1 << inst.arity; b <- 0 until inst.arity)
+        yield FD((0 until inst.arity).filter(a => (l & 1 << a) != 0).toSet, b)
+      val violation = FDs.violations(inst)
+      for (fd <- new scala.util.Random(seed).shuffle(fds)) {
+        assert(violation(fd) == TestGen.referenceViolation(inst, fd), s"seed $seed: $fd on $inst")
+        shared += 1
+      }
+    }
+    assert(shared > 10000, s"$shared")
+  }
 }

@@ -1,6 +1,10 @@
 package repro.core
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerStageCompleted}
+import scala.concurrent.duration._
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.SparkSpec
@@ -136,7 +140,7 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
     assert(e.getMessage.contains("A -> D") && e.getMessage.contains("rows 0 and 2"), e.getMessage)
   }
 
-  // --- Spark-distributed sampler -------------------------------------------
+  // --- estimateSpark: mask, then the block runner ---------------------------
 
   test("estimateSpark matches the exact value within MC accuracy") {
     val ex34 = Instance(
@@ -185,7 +189,7 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  // --- Bit-sliced sampler and the block seeds shared by local and Spark ------
+  // --- Bit-sliced sampler and the block seeds shared by matrixLocal and run --
 
   test("estimate counts exactly n samples for batch-boundary iteration counts") {
     val mc = MonteCarlo.mask(Vector(Set(Pos(0, 0), Pos(1, 0)), Set(Pos(2, 1))))
@@ -234,47 +238,85 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  test("estimateSpark runs one job of one stage with no shuffle write") {
-    val group = "mc-one-stage"
-    var jobs = Vector.empty[Int]
-    var stages = Set.empty[Int]
-    var ended = 0
-    var shuffleWrite = 0L
+  test("run and estimateSpark start no Spark job") {
+    val sat = Experiments.prepare(spark, "satellites")
+    val clauses = Clauses.forAllPositions(sat.inst, FDs.closure(sat.fds)).map { case (p, c) => p -> (c: Seq[Set[Pos]]) }
+    val sentinel = "mc-no-job-sentinel"
+    var groups = Vector.empty[String]
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
-        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group)) {
-          jobs :+= e.jobId
-          stages ++= e.stageIds
-        }
-      }
-      override def onStageCompleted(e: SparkListenerStageCompleted): Unit = synchronized {
-        if (stages(e.stageInfo.stageId))
-          shuffleWrite += e.stageInfo.taskMetrics.shuffleWriteMetrics.bytesWritten
-      }
-      override def onJobEnd(e: SparkListenerJobEnd): Unit = synchronized {
-        if (jobs.contains(e.jobId)) ended += 1
+        groups :+= Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull
       }
     }
     val sc = spark.sparkContext
+    sc.addSparkListener(listener)
+    try {
+      PlaqueTest.run(spark, sat.inst, sat.fds, 100000, 3)
+      MonteCarlo.estimateSpark(spark, clauses, 100000, 3)
+      // Listener events arrive in order: once the sentinel job is seen, so is every earlier job.
+      sc.setJobGroup(sentinel, "sentinel")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      val deadline = System.nanoTime() + 30000000000L
+      while (!listener.synchronized(groups.contains(sentinel)) && System.nanoTime() < deadline) Thread.sleep(10)
+    } finally sc.removeSparkListener(listener)
+    assert(listener.synchronized(groups) == Vector(sentinel))
+  }
+
+  // --- The block runner -----------------------------------------------------
+
+  private def samplerThreads(): Iterable[Thread] =
+    Thread.getAllStackTraces.keySet.asScala.filter(_.getName.startsWith("plaque-mc-"))
+
+  test("the block runner gives the same hits for 1, 2, 3 and 8 workers") {
     val ex34 = Instance(
       Vector("A", "B", "C", "D"),
       Vector(Vector(7, 2, 8, 4), Vector(5, 2, 8, 6), Vector(7, 2, 8, 6)),
     )
-    val clauses = Clauses.forAllPositions(ex34, Vector(FD(Set(0), 2))).map { case (p, c) => p -> (c: Seq[Set[Pos]]) }
-    assert(clauses.size == 2)
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobGroup(group, "estimateSpark")
-      try MonteCarlo.estimateSpark(spark, clauses, 100000, 3)
-      finally sc.clearJobGroup()
-      val deadline = System.nanoTime() + 30000000000L
-      while (listener.synchronized(ended < jobs.size || jobs.isEmpty) && System.nanoTime() < deadline)
-        Thread.sleep(10)
-    } finally sc.removeSparkListener(listener)
-    listener.synchronized {
-      assert(jobs.size == 1, s"jobs $jobs")
-      assert(ended == 1 && stages.size == 1, s"stages $stages")
-      assert(shuffleWrite == 0L)
+    val sat = Experiments.prepare(spark, "satellites")
+    val cases = Seq(("Ex. 3.4", ex34, Vector(FD(Set(0), 2))), ("satellites", sat.inst, sat.fds)) ++
+      (700 until 705).map { seed =>
+        val (inst, fds) = TestGen.instanceWithFds(seed)
+        (s"seed $seed", inst, fds)
+      }
+    for ((name, inst, fds) <- cases) {
+      val masked = Clauses.index(inst, FDs.closure(fds)).map { case (p, l) => p -> l.mc }
+      for (iters <- Seq(1L, 64L, 25000L, 25001L, 180001L)) {
+        val one = MonteCarlo.sample(masked, iters, 11, 1)
+        assert(one.keySet == masked.keySet, s"$name, $iters iterations")
+        for (w <- Seq(2, 3, 8))
+          assert(MonteCarlo.sample(masked, iters, 11, w) == one, s"$name, $iters iterations, $w workers")
+      }
     }
+    assert(samplerThreads().isEmpty)
+  }
+
+  test("a worker's exception is rethrown and leaves no sampler thread alive") {
+    val good = MonteCarlo.mask(Vector(Set(Pos(0, 0), Pos(1, 0))))
+    val bad = MonteCarlo.MaskedClauses(2, Array(Array(0, 2))) // var 2 ≥ nVars
+    val masked = Map(Pos(0, 0) -> good, Pos(1, 1) -> bad, Pos(2, 2) -> good)
+    for (w <- Seq(1, 3, 8)) {
+      val call = Future(MonteCarlo.sample(masked, 180001, 5, w))(ExecutionContext.global)
+      val e = intercept[ArrayIndexOutOfBoundsException](Await.result(call, 30.seconds))
+      assert(e.getMessage.contains("2"), e.getMessage)
+      assert(samplerThreads().isEmpty, s"$w workers")
+    }
+  }
+
+  test("run samples on daemon threads plaque-mc-<n>, at most one per core, and none outlives it") {
+    val sat = Experiments.prepare(spark, "satellites")
+    val seen = scala.collection.mutable.Set.empty[(String, Boolean)]
+    @volatile var done = false
+    val watcher = new Thread(() =>
+      while (!done) {
+        seen.synchronized(seen ++= samplerThreads().map(t => (t.getName, t.isDaemon)))
+        Thread.sleep(1)
+      })
+    watcher.start()
+    try PlaqueTest.run(spark, sat.inst, sat.fds, 2000000, 1)
+    finally { done = true; watcher.join() }
+    assert(samplerThreads().isEmpty)
+    val cores = math.min(spark.sparkContext.defaultParallelism, Runtime.getRuntime.availableProcessors)
+    assert(seen.nonEmpty && seen.forall { case (n, daemon) => daemon && n.matches("plaque-mc-\\d+") }, seen)
+    assert(seen.map(_._1).size <= cores, seen)
   }
 }

@@ -5,6 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.data.Datasets
+import repro.exp.{Experiments, Fig3Exp}
 
 class FDDiscoverySpec extends AnyFunSuite with SparkSpec {
 
@@ -46,6 +47,22 @@ class FDDiscoverySpec extends AnyFunSuite with SparkSpec {
   test("every discovered FD actually holds (maxLhs=2, Example 3.4)") {
     val fds = FDDiscovery.discoverLocal(ex34, maxLhs = 2)
     for (f <- fds) assert(FDs.violation(ex34, f).isEmpty, s"$f")
+  }
+
+  test("discoverLocal ≡ per-candidate referenceViolation discovery on the five mimics") {
+    for (d <- Fig3Exp.DatasetNames) {
+      val inst = Experiments.prepare(spark, d).inst
+      val maxLhs = Experiments.maxLhsFor(d)
+      def holds(lhs: Set[Int], rhs: Int) = TestGen.referenceViolation(inst, FD(lhs, rhs)).isEmpty
+      val cols = inst.attrs.indices.toVector
+      val expected = for {
+        rhs <- cols
+        l <- 1 to maxLhs
+        lhs <- cols.filterNot(_ == rhs).combinations(l).map(_.toSet)
+        if holds(lhs, rhs) && !lhs.subsets().exists(s => s.nonEmpty && s != lhs && holds(s, rhs))
+      } yield FD(lhs, rhs)
+      assert(FDDiscovery.discoverLocal(inst, maxLhs) == expected, d)
+    }
   }
 
   test("discovery on the CD example finds the genuine unary FDs") {

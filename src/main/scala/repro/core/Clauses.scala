@@ -104,4 +104,87 @@ object Clauses {
     */
   def forAllPositions(inst: Instance, closedFds: Seq[FD]): Map[Pos, Vector[Set[Pos]]] =
     index(inst, closedFds).map { case (p, l) => p -> l.clauses(inst.arity) }
+
+  /** Clauses over positions lowered as [[index]] lowers witness clauses, with
+    * cell `(row, col)` as `row · arity + col`; every column must be below `arity`.
+    */
+  private[core] def lower(clauses: Seq[Set[Pos]], arity: Int): Lowered = {
+    val number = scala.collection.mutable.HashMap.empty[Int, Int]
+    val cells = Array.newBuilder[Int]
+    val vars = clauses.iterator.map { clause =>
+      clause.iterator.map(c => c.row * arity + c.col).toArray.sorted
+        .map(c => number.getOrElseUpdate(c, { cells += c; number.size })).sorted
+    }.toArray
+    Lowered(MaskedClauses(number.size, vars), cells.result())
+  }
+
+  /** A clause shape, or a part of one, compared element for element: no
+    * hash decides equality.
+    */
+  private[core] final class Shape(private val words: Array[Long]) {
+    override def equals(o: Any): Boolean = o match {
+      case s: Shape => java.util.Arrays.equals(words, s.words)
+      case _ => false
+    }
+    override def hashCode: Int = java.util.Arrays.hashCode(words)
+  }
+
+  /** The clause shape of a position `p` with lowered clauses over `arity`
+    * columns: for each row other than `p.row`, the sorted list of `(columns
+    * in p.row, columns in that row)` masks of the clauses that touch it,
+    * `⌈arity / 64⌉` words per mask, and these per-row lists as a canonical
+    * multiset (the agree-set signatures with multiplicities of Dep-Miner,
+    * Lopes, Petit, Lakhal, EDBT 2000). Positions with equal shapes have clause
+    * sets that a relabeling of rows fixing the columns maps onto each other,
+    * so equal `INF` values (§3.1) and equally distributed MC estimates
+    * (Thm. 3.6). `None` if a clause touches no row or two rows besides
+    * `p.row`: witness clauses never do, and such a position is a class of
+    * its own.
+    *
+    * The returned function numbers each distinct mask pair and each distinct
+    * per-row list in one table, so that the sorts run on primitive ids; its
+    * shapes compare only with shapes from the same function.
+    */
+  private[core] def shapes(arity: Int): (Pos, Lowered) => Option[Shape] = {
+    val w = (arity + 63) / 64
+    val ids = scala.collection.mutable.HashMap.empty[Shape, Long]
+    def id(words: Array[Long]): Long = ids.getOrElseUpdate(new Shape(words), ids.size.toLong)
+    // Clause `c` of `p`: its other row in the high half and the id of its
+    // mask pair in the low half, or -1 if it touches no row or two rows besides p.row.
+    def entry(p: Pos, l: Lowered, c: Array[Int]): Long = {
+      val masks = new Array[Long](2 * w)
+      var other = -1
+      var k = 0
+      while (k < c.length) {
+        val row = l.cells(c(k)) / arity
+        val col = l.cells(c(k)) % arity
+        if (row == p.row) masks(col / 64) |= 1L << col
+        else if (other == -1 || other == row) { other = row; masks(w + col / 64) |= 1L << col }
+        else return -1L
+        k += 1
+      }
+      if (other == -1) -1L else other.toLong << 32 | id(masks)
+    }
+    (p, l) => {
+      val clauses = l.mc.vars
+      val byRow = new Array[Long](clauses.length)
+      var i = 0
+      while (i < clauses.length && { byRow(i) = entry(p, l, clauses(i)); byRow(i) >= 0 }) i += 1
+      if (i < clauses.length) None
+      else {
+        java.util.Arrays.sort(byRow)
+        val rows = Array.newBuilder[Long]
+        var from = 0
+        while (from < byRow.length) {
+          var until = from + 1
+          while (until < byRow.length && byRow(until) >>> 32 == byRow(from) >>> 32) until += 1
+          rows += id(byRow.slice(from, until).map(_ & 0xffffffffL))
+          from = until
+        }
+        val key = rows.result()
+        java.util.Arrays.sort(key)
+        Some(new Shape(key))
+      }
+    }
+  }
 }

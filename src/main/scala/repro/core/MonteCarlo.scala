@@ -20,11 +20,13 @@ import org.apache.spark.sql.SparkSession
   * fair coins, so every sample has the §3.2 distribution and the Thm. 3.6
   * bound holds unchanged.
   *
-  * Every non-unique cell's budget is cut into blocks of 25 000 iterations,
-  * and block `b` of cell `p` draws from a generator seeded by a pure function
-  * of `(seed, p.row, p.col, b)`. One block runner sums their integer hit
-  * counts, on one thread for [[matrixLocal]] and on one per core for
-  * `PlaqueTest.run` and [[estimateSpark]], so all return identical matrices.
+  * Non-unique cells whose clauses have the same shape (`Clauses.shapes`)
+  * share one estimate, that of the class's least `(row, col)` cell. Its
+  * budget is cut into blocks of 25 000 iterations, and block `b` of cell `p`
+  * draws from a generator seeded by a pure function of `(seed, p.row, p.col,
+  * b)`. One block runner sums their integer hit counts, on one thread for
+  * [[matrixLocal]] and on one per core for `PlaqueTest.run` and
+  * [[estimateSpark]], so all return identical matrices.
   */
 object MonteCarlo {
 
@@ -55,11 +57,11 @@ object MonteCarlo {
     * `(row, col)` order: the numbering of `Clauses.index`, so the sampler
     * draws the same streams for both.
     */
-  def mask(clauses: Seq[Set[Pos]]): MaskedClauses = {
-    val idx = scala.collection.mutable.HashMap.empty[Pos, Int]
-    val vars = clauses.map(_.toArray.sortBy(p => (p.row, p.col)).map(c => idx.getOrElseUpdate(c, idx.size)).sorted)
-    MaskedClauses(idx.size, vars.toArray)
-  }
+  def mask(clauses: Seq[Set[Pos]]): MaskedClauses =
+    Clauses.lower(clauses, arity(clauses.iterator.flatten)).mc
+
+  /** One more than the largest column of `cells` (1 if there are none). */
+  private def arity(cells: Iterator[Pos]): Int = cells.map(_.col + 1).maxOption.getOrElse(1)
 
   /** One MC estimate: fraction of sampled deletions that hit every clause. */
   def estimate(mc: MaskedClauses, iters: Long, seed: Long): Double = {
@@ -114,16 +116,19 @@ object MonteCarlo {
   }
 
   /** Local MC entropy matrix: unique positions get exactly 1.0 (Prop. 3.2),
-    * the others `iters` samples each on one sampler thread, with the blocks
-    * and values of `PlaqueTest.run(spark, inst, fds, iters, seed)`.
+    * the others the value of their clause-shape class, `iters` samples each
+    * on one sampler thread, with the blocks and values of
+    * `PlaqueTest.run(spark, inst, fds, iters, seed)`.
     */
   def matrixLocal(inst: Instance, fds: Seq[FD], iters: Long, seed: Long = 42): Map[Pos, Double] = {
     require(iters > 0, s"iteration count must be positive, got $iters")
     PlaqueTest.pipeline(inst, fds, iters)(sample(_, iters, seed, 1)).byPosition
   }
 
-  /** MC entropy estimates for the given positions: [[mask]] of each clause
-    * set, sampled as `PlaqueTest.run` samples `Clauses.index`.
+  /** MC entropy estimates for the given positions: each clause set lowered
+    * as [[mask]] lowers it, grouped by clause shape and sampled as
+    * `PlaqueTest.run` samples `Clauses.index`. A position with a clause that
+    * touches no row or two rows besides its own is estimated on its own.
     *
     * @return per-position estimates for exactly the keys of `clausesByPos`
     */
@@ -132,8 +137,11 @@ object MonteCarlo {
       clausesByPos: Map[Pos, Seq[Set[Pos]]],
       iters: Long,
       seed: Long = 42,
-  ): Map[Pos, Double] =
-    sample(clausesByPos.map { case (p, cls) => p -> mask(cls) }, iters, seed, workers(spark))
+  ): Map[Pos, Double] = {
+    val m = arity(clausesByPos.keysIterator ++ clausesByPos.valuesIterator.flatMap(_.iterator.flatten))
+    val lowered = clausesByPos.map { case (p, cls) => p -> Clauses.lower(cls, m) }
+    PlaqueTest.byShape(lowered, m)(sample(_, iters, seed, workers(spark)))._1
+  }
 
   /** Sampler threads for a session: `defaultParallelism`, at most one per processor. */
   private[core] def workers(spark: SparkSession): Int =

@@ -17,6 +17,8 @@ object PlaqueTest {
     * @param inst       the analyzed instance
     * @param entropies  `entropies(row)(col)` — 1.0 for unique cells
     * @param nonUnique  positions with entropy < 1 (Prop. 3.2 complement)
+    * @param classes    clause-shape classes of `nonUnique`, one estimate each
+    *                   (`Clauses.shapes`)
     * @param closedFds  the FD closure actually used
     * @param iterations MC iterations per non-unique cell (0 = exact)
     */
@@ -24,6 +26,7 @@ object PlaqueTest {
       inst: Instance,
       entropies: Vector[Vector[Double]],
       nonUnique: Set[Pos],
+      classes: Int,
       closedFds: Vector[FD],
       iterations: Long,
   ) {
@@ -100,7 +103,8 @@ object PlaqueTest {
 
   /** Run the plaque test with *exact* clause-based entropies. A position
     * whose clause-cell union exceeds 26 cells is an
-    * `IllegalArgumentException` naming the position and the union size.
+    * `IllegalArgumentException` naming the union size and the least position
+    * of its clause-shape class.
     */
   def runExact(inst: Instance, fds: Seq[FD]): Result =
     pipeline(inst, fds, 0L)(_.map { case (p, mc) => p -> ExactEntropy.viaClauses(p, mc) })
@@ -121,9 +125,9 @@ object PlaqueTest {
   /** The one plaque pipeline: check `I ⊨ F`, close `F` (§2.1), build the
     * lowered witness clauses of every position once (§3.1, `Clauses.index`;
     * it and the check group each LHS once, in one memoized [[Partition]]),
-    * estimate the positions that have clauses, and set `INF = 1` elsewhere
-    * (Prop. 3.2). `estimate` receives only non-empty clause sets and
-    * must return a value for each of its keys.
+    * estimate one position per clause shape ([[byShape]]), and set `INF = 1`
+    * elsewhere (Prop. 3.2). `estimate` receives only non-empty clause sets
+    * and must return a value for each of its keys.
     *
     * The clause reformulation assumes `I ⊨ F` (hence `I ⊨ F*`), so an FD
     * that does not hold is rejected ([[FDs.requireHolds]]).
@@ -133,8 +137,26 @@ object PlaqueTest {
     val partition = Partition.of(inst)
     FDs.requireHolds(inst, fds, partition)
     val closed = FDs.closure(fds)
-    val below = estimate(Clauses.index(inst, closed, partition).map { case (p, l) => p -> l.mc })
+    val (below, classes) = byShape(Clauses.index(inst, closed, partition), inst.arity)(estimate)
     val matrix = Vector.tabulate(inst.nRows, inst.arity)((j, k) => below.getOrElse(Pos(j, k), 1.0))
-    Result(inst, matrix, below.keySet, closed, iterations)
+    Result(inst, matrix, below.keySet, classes, closed, iterations)
+  }
+
+  /** Estimates each clause shape once (`Clauses.shapes`; `INF` and the law of
+    * its MC estimate depend only on it): `estimate` gets one representative
+    * per class, the class's least `(row, col)` position with its own clauses,
+    * and every member gets its representative's value. Returns the values of
+    * all keys of `lowered` and the number of classes.
+    */
+  private[core] def byShape(lowered: Map[Pos, Clauses.Lowered], arity: Int)(
+      estimate: Map[Pos, MonteCarlo.MaskedClauses] => Map[Pos, Double]): (Map[Pos, Double], Int) = {
+    val shape = Clauses.shapes(arity)
+    val reps = scala.collection.mutable.HashMap.empty[Clauses.Shape, Pos]
+    val repOf = lowered.keys.toArray.sortBy(p => (p.row, p.col)).map { p =>
+      p -> shape(p, lowered(p)).fold(p)(reps.getOrElseUpdate(_, p))
+    }
+    val classes = repOf.collect { case (p, rep) if p == rep => p -> lowered(p).mc }
+    val values = estimate(classes.toMap)
+    (repOf.iterator.map { case (p, rep) => p -> values(rep) }.toMap, classes.length)
   }
 }

@@ -49,9 +49,10 @@ object Fig3Exp {
 
   def format(ss: Seq[Summary]): String =
     Experiments.formatTable(
-      Seq("dataset", "rows", "cols", "#FDs", "min entropy", "cells<1", "plaque cols", "zero cols"),
+      Seq("dataset", "rows", "cols", "#FDs", "non-unique / classes", "min entropy", "cells<1", "plaque cols", "zero cols"),
       ss.map(s => Seq(
         s.dataset, s.rows.toString, s.cols.toString, s.nFds.toString,
+        s"${s.result.nonUnique.size} / ${s.result.classes}",
         f"${s.minEntropy}%.2f", s.cellsBelowOne.toString,
         s"${s.plaqueColumns.size}: ${s.plaqueColumns.take(4).mkString(",")}${if (s.plaqueColumns.size > 4) ",…" else ""}",
         s.zeroColumns.mkString(","),

@@ -8,14 +8,15 @@ import repro.core._
   * §3.1 optimizations) for different satellite-data prefixes and iteration
   * counts.
   *
-  * The paper measures its single-threaded prototype, so this grid times the
-  * single-threaded sampler, [[MonteCarlo.matrixLocal]] (closure + clauses +
-  * per-position MC). It computes the same matrix as the one-thread-per-core
-  * runner used by Figs. 3/6, whose parallelism would hide the per-iteration
-  * scaling the paper timed. The sampler is bit-sliced (64 samples per machine
-  * word), so one iteration costs about a 64th of a clause pass. The
-  * reproduced signals are runtime ≈ linear in iterations and growing with the
-  * row count.
+  * The paper times a single-threaded prototype that samples every cell, so
+  * this grid times closure + clauses + per-position MC on one thread:
+  * `FDs.closure`, `Clauses.index` and [[MonteCarlo.estimate]] for each
+  * non-unique position. The plaque pipeline (`matrixLocal`, and the
+  * one-thread-per-core runner of Figs. 3/6) estimates each clause shape only
+  * once, which would hide the per-cell cost the paper timed. The sampler is
+  * bit-sliced (64 samples per machine word), so one iteration costs about a
+  * 64th of a clause pass. The reproduced signals are runtime ≈ linear in
+  * iterations and growing with the row count.
   */
 object Fig5Exp {
 
@@ -31,13 +32,19 @@ object Fig5Exp {
   ): Seq[Cell] = {
     // JIT warm-up so the first grid cell is not charged for compilation.
     val warm = Experiments.satellitesPrefix(spark, 20)
-    MonteCarlo.matrixLocal(warm.inst, warm.fds, 20000)
+    perCell(warm.inst, warm.fds, 20000)
     for (r <- rowCounts; it <- iterCounts) yield {
       val prep = Experiments.satellitesPrefix(spark, r)
-      val (_, ms) = Experiments.timeMs(MonteCarlo.matrixLocal(prep.inst, prep.fds, it))
+      val (_, ms) = Experiments.timeMs(perCell(prep.inst, prep.fds, it))
       Cell(r, it, ms / 1000.0)
     }
   }
+
+  /** The per-cell MC entropies of every non-unique position, each cell seeded by its own position. */
+  private def perCell(inst: Instance, fds: Seq[FD], iters: Long): Map[Pos, Double] =
+    Clauses.index(inst, FDs.closure(fds)).map { case (p, l) =>
+      p -> MonteCarlo.estimate(l.mc, iters, p.row.toLong << 32 | p.col)
+    }
 
   def format(cells: Seq[Cell]): String = {
     val rowCounts = cells.map(_.rows).distinct.sorted

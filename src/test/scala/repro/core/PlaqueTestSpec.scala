@@ -27,7 +27,7 @@ class PlaqueTestSpec extends AnyFunSuite with SparkSpec {
     assert(res.nonUnique == Set(Pos(0, 2), Pos(2, 2)))
   }
 
-  test("run (Spark MC) approximates the exact matrix") {
+  test("run (MC on driver threads) approximates the exact matrix") {
     val res = PlaqueTest.run(spark, ex34, fds, 100000)
     assert(res.entropies(1) == Vector(1.0, 1.0, 1.0, 1.0))
     assert(math.abs(res.entropies(0)(2) - 0.875) < 0.015)

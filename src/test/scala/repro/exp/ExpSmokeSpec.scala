@@ -46,7 +46,8 @@ class ExpSmokeSpec extends AnyFunSuite with SparkSpec {
     assert(s.rows == 150 && s.cols == 5)
     assert(s.plaqueColumns == Vector("class"))
     assert(s.minEntropy < 1.0)
-    assert(Fig3Exp.format(Seq(s)).contains("iris"))
+    // The per-dataset line prints the non-unique cells and their clause-shape classes.
+    assert(Fig3Exp.format(Seq(s)).linesIterator.exists(l => l.contains("iris") && l.contains("150 / 3")))
   }
 
   test("Fig4Exp histogram accounts for all 1200 cells") {

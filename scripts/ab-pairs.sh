@@ -3,38 +3,45 @@
 #
 # Usage (from anywhere in the repository):
 #
-#   scripts/ab-pairs.sh <parent-rev> <workload> <pairs> <first-seed>
+#   scripts/ab-pairs.sh <parent-rev> <workload> <pairs> <first-seed> [claimed-metric]
 #
-# Checks <parent-rev> out into a temporary git worktree (removed on exit) and
-# runs `python3 perfbench/run.py --workload <workload> --seed <s> --seconds <n>
-# --trace 0` there and in the working tree, <pairs> times. Pair i uses seed
-# <first-seed> + i on both sides; even pairs run the parent first, odd pairs
-# the working tree first. <n> is BENCHMARK.json's run_seconds. Each side
-# builds its own harness on its first run (perfbench/target, ignored by git).
+# Exports <parent-rev> with `git archive` into a temporary directory (removed
+# on exit; $TMPDIR picks its place) and runs `python3 perfbench/run.py
+# --workload <workload> --seed <s> --seconds <n> --trace 0` there and in the
+# working tree, <pairs> times. Pair i uses seed <first-seed> + i on both
+# sides; even pairs run the parent first, odd pairs the working tree first.
+# <n> is BENCHMARK.json's run_seconds. Each side builds its own harness on its
+# first run (perfbench/target, ignored by git).
 #
 # Prints every run, then for each end-to-end metric of BENCHMARK.json each
 # side's median [first quartile, third quartile] and how many pairs the
-# working tree wins; ties count for neither side.
+# working tree wins (ties count for neither side), and a verdict line: is
+# the working tree's median worse than the parent's by more than the
+# metric's bound (read as a fraction of the parent's median)? For
+# [claimed-metric] one more line says whether a gain is shown: the working
+# tree wins at least 9 in 10 of the pairs, and the gap between the medians
+# exceeds the parent's interquartile range.
 set -euo pipefail
 
-if [ $# -ne 4 ]; then
-  echo "usage: $0 <parent-rev> <workload> <pairs> <first-seed>" >&2
+if [ $# -ne 4 ] && [ $# -ne 5 ]; then
+  echo "usage: $0 <parent-rev> <workload> <pairs> <first-seed> [claimed-metric]" >&2
   exit 2
 fi
-rev=$1 workload=$2 pairs=$3 first=$4
+rev=$1 workload=$2 pairs=$3 first=$4 claimed=${5:-}
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+if [ -n "$claimed" ] && ! python3 -c 'import json, sys
+sys.exit(sys.argv[1] not in [m["name"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]])' "$claimed"; then
+  echo "$0: $claimed is not an end-to-end metric of BENCHMARK.json" >&2
+  exit 2
+fi
 
 tmp=$(mktemp -d)
 parent="$tmp/parent"
-cleanup() {
-  git -C "$root" worktree remove --force "$parent" 2>/dev/null || true
-  git -C "$root" worktree prune
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$parent" "$rev"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$parent"
+git archive "$rev" | tar -x -C "$parent"
 
 # run <side> <dir> <seed>: one benchmark run; its JSON result goes to $tmp/<side>.jsonl.
 run() {
@@ -54,17 +61,20 @@ for ((i = 0; i < pairs; i++)); do
   fi
 done
 
-python3 - "$tmp" "$rev" "$workload" <<'EOF'
+python3 - "$tmp" "$rev" "$workload" "$claimed" <<'EOF'
 import json, statistics, sys
 
-tmp, rev, workload = sys.argv[1:]
+tmp, rev, workload, claimed = sys.argv[1:]
 declared = json.load(open("BENCHMARK.json"))["end_to_end"]
 def load(side):
     return [json.loads(l)["metrics"] for l in open(f"{tmp}/{side}.jsonl")]
 parent, change = load("parent"), load("change")
 
+def quartiles(xs):
+    return statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
+
 def summary(xs):
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
+    q1, med, q3 = quartiles(xs)
     return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
 
 print(f"\n{workload}: parent {rev} vs working tree, {len(parent)} pairs, median [quartiles]")
@@ -75,4 +85,17 @@ for m in declared:
     wins = sum((cv < pv) if lower else (cv > pv) for pv, cv in zip(p, c))
     print(f"  {name} ({m['unit']}, {m['better']} is better): parent {summary(p)}  change {summary(c)}"
           f"  change wins {wins}/{len(p)}")
+    pq1, pmed, pq3 = quartiles(p)
+    cmed = quartiles(c)[1]
+    # Positive: the change is worse; relative to the parent's median unless that is 0.
+    worse = (cmed - pmed) if lower else (pmed - cmed)
+    rel = worse / abs(pmed) if pmed != 0 else worse
+    within = "within" if rel <= m["bound"] else "OUTSIDE"
+    how = "equal to" if rel == 0 else f"{abs(rel):.1%} {'worse' if rel > 0 else 'better'} than"
+    print(f"    verdict {name}: change median {how} the parent's, {within} the {m['bound']:.0%} bound")
+    if name == claimed:
+        gap, iqr = -worse, pq3 - pq1
+        shown = wins * 10 >= 9 * len(p) and gap > iqr
+        print(f"    claim {name}: change wins {wins}/{len(p)} (need 9 in 10), median gap {gap:.4g}"
+              f" vs parent IQR {iqr:.4g}: gain {'SHOWN' if shown else 'NOT shown'}")
 EOF

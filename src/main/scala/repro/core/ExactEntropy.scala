@@ -2,7 +2,9 @@ package repro.core
 
 /** Exact entropy: Table 1's Prop. 2.9 enumeration, unoptimized and with the
   * paper's optimizations, plus the clause-based exact evaluation behind
-  * `PlaqueTest.runExact`.
+  * `PlaqueTest.runExact`. Both Table 1 configurations run one Def. 2.4
+  * check, [[Kernel]], which keeps the paper's per-subset cost (see
+  * [[compute]]).
   */
 object ExactEntropy {
 
@@ -19,8 +21,9 @@ object ExactEntropy {
     final case class Oversized(cells: Int) extends Abort
   }
 
-  /** Largest instance Prop. 2.9 enumeration accepts: 2^61 subsets of the
-    * other cells still fit the `Long` loop counter.
+  /** Largest instance Prop. 2.9 enumeration accepts: a variable set of its
+    * cells is one `Long` bitmask, and 2^61 subsets of the other cells still
+    * fit the `Long` loop counter.
     */
   private val MaxCells = 62
 
@@ -87,101 +90,74 @@ object ExactEntropy {
     stop(out, abort)
   }
 
-  /** Pre-lowered FD (sorted LHS array) for allocation-free checks. */
-  private[core] def lower(fds: Seq[FD]): Array[(Array[Int], Int)] =
-    fds.filterNot(_.trivial).map(f => (f.lhs.toArray.sorted, f.rhs)).toArray
-
-  /** `(I_{Q←X})_{p←a} ⊨ F*` (Definition 2.4), allocation-free: variables
-    * are flagged in `varFlags` (index `row * arity + col`) and the probed cell
-    * `(pRow,pCol)` holds `fresh`. Two rows can violate an FD only if neither
-    * has a variable in its LHS or RHS cells, since variables are pairwise
-    * distinct and distinct from every constant. The tests check this against
-    * the literal definition, kept in `TestGen` as their oracle.
+  /** Definition 2.4's check `(I_{Q←X})_{p←a} ⊨ F*` for one instance, FD set
+    * and probed position `p`, built once and then run on each subset `Q`.
+    * Cell `(j, k)` is bit `j * arity + k`; `values` holds every cell's value
+    * row-major, with the fresh value already at `p`. Each non-trivial FD and
+    * each row pair `j1 < j2` is one check: `masks(c)` has both rows' LHS and
+    * RHS cells, and `cells(starts(c) until starts(c + 1))` lists their
+    * `(j1, j2)` cell offsets pairwise, LHS columns first and the RHS last.
+    * Two rows can violate an FD only if neither has a variable in its LHS or
+    * RHS cells, since variables are pairwise distinct and distinct from
+    * every constant. The tests check this against the literal definition,
+    * kept in `TestGen` as their oracle.
     */
-  private[core] def checkFast(
-      inst: Instance,
-      fds: Array[(Array[Int], Int)],
-      varFlags: Array[Boolean],
-      pRow: Int,
-      pCol: Int,
-      fresh: Int,
-  ): Boolean = {
-    val m = inst.arity
-    val n = inst.nRows
-    val rows = inst.rows
-    var fi = 0
-    while (fi < fds.length) {
-      val lhs = fds(fi)._1
-      val rhs = fds(fi)._2
-      var j1 = 0
-      while (j1 < n) {
-        if (!varFlags(j1 * m + rhs) && allConst(lhs, varFlags, j1, m)) {
-          var j2 = j1 + 1
-          while (j2 < n) {
-            if (!varFlags(j2 * m + rhs) && allConst(lhs, varFlags, j2, m)) {
-              var eq = true
-              var li = 0
-              while (eq && li < lhs.length) {
-                val c = lhs(li)
-                val v1 = if (j1 == pRow && c == pCol) fresh else rows(j1)(c)
-                val v2 = if (j2 == pRow && c == pCol) fresh else rows(j2)(c)
-                if (v1 != v2) eq = false
-                li += 1
-              }
-              if (eq) {
-                val b1 = if (j1 == pRow && rhs == pCol) fresh else rows(j1)(rhs)
-                val b2 = if (j2 == pRow && rhs == pCol) fresh else rows(j2)(rhs)
-                if (b1 != b2) return false
-              }
-            }
-            j2 += 1
-          }
-        }
-        j1 += 1
-      }
-      fi += 1
-    }
-    true
-  }
+  private[core] final class Kernel(inst: Instance, fds: Seq[FD], p: Pos) {
+    require(inst.nCells <= MaxCells, s"naive enumeration over ${inst.nCells} cells refused (at most $MaxCells)")
+    private val m = inst.arity
+    private val values = inst.rows.flatten.toArray.updated(p.row * m + p.col, inst.freshValue(p.col))
+    private val checks = for {
+      f <- fds.filterNot(_.trivial).toArray
+      cols = f.lhs.toArray.sorted :+ f.rhs
+      j1 <- 0 until inst.nRows
+      j2 <- j1 + 1 until inst.nRows
+    } yield cols.flatMap(k => Array(j1 * m + k, j2 * m + k))
+    private val masks = checks.map(_.foldLeft(0L)((acc, o) => acc | 1L << o))
+    private val starts = checks.scanLeft(0)(_ + _.length)
+    private val cells = checks.flatten
 
-  private def allConst(lhs: Array[Int], varFlags: Array[Boolean], j: Int, m: Int): Boolean = {
-    var i = 0
-    while (i < lhs.length) {
-      if (varFlags(j * m + lhs(i))) return false
-      i += 1
+    /** True iff the instance with variables at the cells of `vars` fulfils
+      * the FDs (`p`'s bit must be clear).
+      */
+    def fulfills(vars: Long): Boolean = {
+      var c = 0
+      while (c < masks.length) {
+        if ((vars & masks(c)) == 0L) {
+          val rhs = starts(c + 1) - 2
+          var i = starts(c)
+          while (i < rhs && values(cells(i)) == values(cells(i + 1))) i += 2
+          if (i == rhs && values(cells(rhs)) != values(cells(rhs + 1))) return false
+        }
+        c += 1
+      }
+      true
     }
-    true
   }
 
   /** Exact `INF_I(p | F)` by Prop. 2.9: enumerate **all** `2^(#Pos−1)`
     * subsets `Q` of `Pos∖{p}`, replace them by distinct variables, put a fresh
     * value at `p`, and count how many modified instances still fulfil
-    * `closedFds`, which must be the closure `F*`. Throws if the instance has
-    * more than [[MaxCells]] cells. Returns `Double.NaN` if `deadlineNanos`
-    * passes mid-enumeration (the paper's aborted 24-hour runs).
+    * `closedFds`, which must be the closure `F*`. Subset `s` is the variable
+    * set `(s & lo) | (s & ~lo) << 1` of [[Kernel.fulfills]]: `s` with a zero
+    * bit inserted at `p`'s cell, `lo` masking the cells before it. Table 1
+    * times the paper's algorithm, so every subset is evaluated, each checks
+    * every FD of `closedFds` on every row pair, and values are compared
+    * inside the subset loop: no sharing across subsets, no precomputed value
+    * agreement (that is [[viaClauses]]), one thread. Throws if the instance
+    * has more than [[MaxCells]] cells. Returns `Double.NaN` if
+    * `deadlineNanos` passes mid-enumeration (the paper's aborted 24-hour
+    * runs).
     */
   private[core] def compute(inst: Instance, closedFds: Seq[FD], p: Pos, deadlineNanos: Long = Long.MaxValue): Double = {
-    require(inst.nCells <= MaxCells,
-      s"naive enumeration over ${inst.nCells} cells refused (at most $MaxCells)")
-    val others = inst.positions.filterNot(_ == p)
-    val n = others.length
-    val fds = lower(closedFds)
-    val fresh = inst.freshValue(p.col)
-    val flags = new Array[Boolean](inst.nCells)
-    val m = inst.arity
-    val total = 1L << n
+    val kernel = new Kernel(inst, closedFds, p)
+    val lo = (1L << (p.row * inst.arity + p.col)) - 1
+    val total = 1L << (inst.nCells - 1)
     var count = 0L
-    var mask = 0L
-    while (mask < total) {
-      if ((mask & 0xfffffL) == 0L && System.nanoTime() > deadlineNanos) return Double.NaN
-      var i = 0
-      while (i < n) {
-        val q = others(i)
-        flags(q.row * m + q.col) = ((mask >>> i) & 1L) == 1L
-        i += 1
-      }
-      if (checkFast(inst, fds, flags, p.row, p.col, fresh)) count += 1
-      mask += 1
+    var s = 0L
+    while (s < total) {
+      if ((s & 0xfffffL) == 0L && System.nanoTime() > deadlineNanos) return Double.NaN
+      if (kernel.fulfills((s & lo) | (s & ~lo) << 1)) count += 1
+      s += 1
     }
     count.toDouble / total
   }

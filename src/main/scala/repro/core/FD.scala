@@ -125,6 +125,6 @@ object FDs {
     }
     val closed = for (r <- byRhs.indices; l <- byRhs(r))
       yield FD((0 until 64).filter(a => (l & 1L << a) != 0).toSet, r)
-    closed.toVector.sortBy(f => (f.rhs, f.lhs.size, f.lhs.toSeq.sorted.mkString(",")))
+    closed.map(f => ((f.rhs, f.lhs.size, f.lhs.toSeq.sorted.mkString(",")), f)).sortBy(_._1).map(_._2).toVector
   }
 }

@@ -197,10 +197,25 @@ class ExactEntropySpec extends AnyFunSuite {
 
   // Ground-truth equivalence: naive (full-instance enumeration) == clause
   // exact == optimized == the plaque pipeline, on randomized repaired
-  // instances.
-  for (seed <- 100 until 130) {
-    test(s"naive ≡ viaClauses ≡ optimized (random instance, seed=$seed)") {
-      val (inst, fds) = TestGen.instanceWithFds(seed)
+  // instances. The wide-FD inputs add empty-LHS FDs, constant columns and
+  // LHSs of up to 4 columns; every position is probed, so `p` also sits at
+  // the first and the last cell, the edges of the kernel's bit insertion.
+  private val wideSeeds = (0 until 60).filter(TestGen.instanceWithWideFds(_)._1.nCells <= 14)
+  private val randomInputs =
+    (100 until 130).map(seed => s"random instance, seed=$seed" -> TestGen.instanceWithFds(seed)) ++
+      wideSeeds.map(seed => s"wide-FD instance, seed=$seed" -> TestGen.instanceWithWideFds(seed))
+
+  test("the wide-FD inputs have empty-LHS FDs, constant columns and 3- or 4-column LHSs") {
+    val wide = wideSeeds.map(TestGen.instanceWithWideFds(_))
+    assert(wide.size >= 15, s"${wide.size} wide-FD inputs")
+    assert(wide.exists(_._2.exists(_.lhs.isEmpty)), "empty LHS")
+    assert(wide.exists { case (inst, _) => (0 until inst.arity).exists(k => inst.columns(k).distinct.length == 1) },
+      "constant column")
+    assert(wide.exists(_._2.exists(_.lhs.size >= 3)), "LHS of 3+ columns")
+  }
+
+  for ((name, (inst, fds)) <- randomInputs) {
+    test(s"naive ≡ viaClauses ≡ optimized ($name)") {
       val closed = FDs.closure(fds)
       val opt = ExactEntropy.optimized(inst, fds)
       assert(!opt.aborted)

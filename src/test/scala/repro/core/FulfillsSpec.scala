@@ -6,8 +6,8 @@ import scala.util.Random
 
 /** `⊨` on Example 3.4: Definition 2.3 (no variables) through
   * [[FDs.violation]], Definition 2.4 (variables and a fresh value at `p`)
-  * through `ExactEntropy.checkFast`, the kernel of Table 1's enumeration, and
-  * that kernel against the literal `TestGen.referenceFulfills`.
+  * through `ExactEntropy.Kernel.fulfills`, the check of Table 1's
+  * enumeration, and that check against the literal `TestGen.referenceFulfills`.
   */
 class FulfillsSpec extends AnyFunSuite {
 
@@ -22,9 +22,8 @@ class FulfillsSpec extends AnyFunSuite {
 
   /** Does `inst` with variables at `vars` and a fresh value at `p` fulfil `fds`? */
   private def fulfills(inst: Instance, fds: Seq[FD], vars: Set[Pos], p: Pos): Boolean = {
-    val flags = new Array[Boolean](inst.nCells)
-    for (q <- vars) flags(q.row * inst.arity + q.col) = true
-    ExactEntropy.checkFast(inst, ExactEntropy.lower(fds), flags, p.row, p.col, inst.freshValue(p.col))
+    val bits = vars.foldLeft(0L)((acc, q) => acc | 1L << (q.row * inst.arity + q.col))
+    new ExactEntropy.Kernel(inst, fds, p).fulfills(bits)
   }
 
   test("holds on a fulfilled FD") {
@@ -93,7 +92,7 @@ class FulfillsSpec extends AnyFunSuite {
     assert(!fulfills(ex34, fds, Set.empty, Pos(1, 2)))
   }
 
-  test("checkFast ≡ referenceFulfills with the fresh value at p (300 random instances × 30 (p, Q))") {
+  test("Kernel.fulfills ≡ referenceFulfills (300 random instances × 30 (p, Q))") {
     var fulfilled = 0
     for (seed <- 0 until 300) {
       val (inst, fds) = TestGen.instanceWithFds(seed, maxRows = 5)

@@ -5,6 +5,7 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types._
 import org.scalatest.funsuite.AnyFunSuite
 
+import scala.collection.immutable.ArraySeq
 import scala.jdk.CollectionConverters._
 
 import repro.SparkSpec
@@ -73,10 +74,23 @@ class InstanceSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("encode handles nulls as a distinct value") {
-    val e = Instance.encode(Seq("A"), Seq(Seq(null), Seq("x"), Seq(null), Seq("null")))
+    val e = Instance.encode(Seq("A"), Seq(Seq(null), Seq("x"), Seq(null), Seq("null"), Seq("\u0000null")))
     assert(e.rows(0)(0) == e.rows(2)(0))
     assert(e.rows(0)(0) != e.rows(1)(0))
     assert(e.rows(0)(0) != e.rows(3)(0))
+    assert(e.rows(0)(0) != e.rows(4)(0))
+  }
+
+  test("encode keeps nested values apart that print alike") {
+    val e = Instance.encode(Seq("A"), Seq(Seq(ArraySeq("a, b")), Seq(ArraySeq("a", "b")), Seq(ArraySeq("a, b"))))
+    assert(e.rows.map(_(0)) == Vector(0, 1, 0))
+  }
+
+  test("fromDataFrame keys a BinaryType column by content") {
+    val schema = StructType(Seq(StructField("id", LongType), StructField("b", BinaryType)))
+    val rows = Seq(Row(0L, Array[Byte](7, 8)), Row(1L, Array[Byte](9)), Row(2L, Array[Byte](7, 8)))
+    val inst = Instance.fromDataFrame(spark.createDataFrame(rows.asJava, schema), "id")
+    assert(inst.rows.map(_(0)) == Vector(0, 1, 0))
   }
 
   test("fromDataFrame fixes tuple order by the orderBy column and drops it") {

@@ -125,7 +125,7 @@ object TestGen {
     * equal values, the `B` values agree. A tuple with a variable in its LHS
     * never collides with another tuple. `closedFds` must be the closure `F*`:
     * for an instance with variables, fulfilling `F` FD by FD is not enough.
-    * `ExactEntropy.checkFast` and the witness clauses must equal it.
+    * `ExactEntropy.Kernel` and the witness clauses must equal it.
     */
   def referenceFulfills(inst: Instance, closedFds: Seq[FD], vars: Set[Pos], put: Map[Pos, Int]): Boolean =
     closedFds.forall(fd => fulfillsOne(inst, fd, vars, put))

@@ -15,7 +15,9 @@
 #
 # Prints every run, then for each end-to-end metric of BENCHMARK.json each
 # side's median [first quartile, third quartile] and how many pairs the
-# working tree wins (ties count for neither side), and a verdict line: is
+# working tree wins (ties count for neither side; next to heap_retained_mb,
+# each side's number of attempted ops, which the harness retains until it
+# reads the heap), and a verdict line: is
 # the working tree's median worse than the parent's by more than the
 # metric's bound (read as a fraction of the parent's median)? For
 # [claimed-metric] one more line says whether a gain is shown: the working
@@ -67,7 +69,7 @@ import json, statistics, sys
 tmp, rev, workload, claimed = sys.argv[1:]
 declared = json.load(open("BENCHMARK.json"))["end_to_end"]
 def load(side):
-    return [json.loads(l)["metrics"] for l in open(f"{tmp}/{side}.jsonl")]
+    return [json.loads(l) for l in open(f"{tmp}/{side}.jsonl")]
 parent, change = load("parent"), load("change")
 
 def quartiles(xs):
@@ -80,11 +82,15 @@ def summary(xs):
 print(f"\n{workload}: parent {rev} vs working tree, {len(parent)} pairs, median [quartiles]")
 for m in declared:
     name, lower = m["name"], m["better"] == "lower"
-    p = [r[name]["value"] for r in parent]
-    c = [r[name]["value"] for r in change]
+    p = [r["metrics"][name]["value"] for r in parent]
+    c = [r["metrics"][name]["value"] for r in change]
     wins = sum((cv < pv) if lower else (cv > pv) for pv, cv in zip(p, c))
     print(f"  {name} ({m['unit']}, {m['better']} is better): parent {summary(p)}  change {summary(c)}"
           f"  change wins {wins}/{len(p)}")
+    if name == "heap_retained_mb":
+        # The harness keeps every op until it reads the heap, so more ops retain more.
+        print(f"    attempted ops: parent {summary([r['attempted'] for r in parent])}"
+              f"  change {summary([r['attempted'] for r in change])}")
     pq1, pmed, pq3 = quartiles(p)
     cmed = quartiles(c)[1]
     # Positive: the change is worse; relative to the parent's median unless that is 0.

@@ -21,7 +21,11 @@ private[core] final class Partition private (gid: Array[Int], start: Array[Int],
   def shared(j: Int): Boolean = until(j) - from(j) > 1
 
   /** `(first(j), j)` for the least row `j` whose value in `col` differs from its group's first row's. */
-  def violation(col: Array[Int]): Option[(Int, Int)] = gid.indices.find(j => col(first(j)) != col(j)).map(j => (first(j), j))
+  def violation(col: Array[Int]): Option[(Int, Int)] = {
+    var j = 0
+    while (j < gid.length && col(first(j)) == col(j)) j += 1
+    Option.when(j < gid.length)((first(j), j))
+  }
 }
 
 private[core] object Partition {

@@ -2,7 +2,9 @@ package repro.core
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerStageCompleted}
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.execution.QueryExecution
 import org.apache.spark.sql.types._
+import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.funsuite.AnyFunSuite
 
 import scala.collection.immutable.ArraySeq
@@ -129,6 +131,77 @@ class InstanceSpec extends AnyFunSuite with SparkSpec {
       assert(inst == TestGen.referenceFromDataFrame(reversed, "id"), name)
       assert(inst == Instance.fromDataFrame(df, "id"), name)
     }
+  }
+
+  test("fromDataFrame equals the reference with the id as the middle or the last column") {
+    for ((name, df) <- frames.filter(f => Set("cd", "adult")(f._1))) {
+      val data = df.columns.filterNot(_ == "id")
+      val (front, back) = data.splitAt(data.length / 2)
+      for (cols <- Seq(front ++ ("id" +: back), data :+ "id")) {
+        val moved = df.select(cols.head, cols.tail.toSeq: _*)
+        val inst = Instance.fromDataFrame(moved, "id")
+        assert(inst == TestGen.referenceFromDataFrame(moved, "id"), s"$name: ${cols.mkString(", ")}")
+        assert(inst == Instance.fromDataFrame(df, "id"), s"$name: ${cols.mkString(", ")}")
+      }
+    }
+  }
+
+  test("fromDataFrame reuses the DataFrame's own query execution across calls") {
+    var reported = Vector.empty[QueryExecution]
+    val listener = new QueryExecutionListener {
+      // Only this test's frame has a column named planReuseId.
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = synchronized {
+        if (qe.analyzed.output.exists(_.name == "planReuseId")) reported :+= qe
+      }
+      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    val df = Datasets.adult(spark).withColumnRenamed("id", "planReuseId").cache()
+    try {
+      df.count()
+      spark.listenerManager.register(listener)
+      try {
+        val (a, b) = (Instance.fromDataFrame(df, "planReuseId"), Instance.fromDataFrame(df, "planReuseId"))
+        assert(a == b)
+        val deadline = System.nanoTime() + 30000000000L
+        while (listener.synchronized(reported.size < 2) && System.nanoTime() < deadline) Thread.sleep(10)
+      } finally spark.listenerManager.unregister(listener)
+    } finally df.unpersist()
+    listener.synchronized {
+      assert(reported.size == 2, s"${reported.size} query executions reported")
+      // Both are `df.queryExecution` itself, so also each other; counted to keep plans out of the message.
+      assert(reported.count(_ eq df.queryExecution) == 2, "calls that ran df's own query execution")
+    }
+  }
+
+  test("fromDataFrame after unpersist reads the source and leaves no cached data behind") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet.toSet
+    val df = Datasets.adult(spark).cache()
+    df.count()
+    // The first call fixes df's plan, which reads df's cache.
+    val cached = Instance.fromDataFrame(df, "id")
+    df.unpersist(blocking = true)
+    assert(df.storageLevel == org.apache.spark.storage.StorageLevel.NONE)
+    // The same plan runs again: it must not rebuild a cache outside the cache manager.
+    assert(Instance.fromDataFrame(df, "id") == cached)
+    assert(Instance.fromDataFrame(df, "id") == cached)
+    val left = sc.getPersistentRDDs.keySet.toSet -- before
+    assert(left.isEmpty, s"persisted RDDs left behind: $left")
+  }
+
+  test("fromDataFrame refuses a repeated or missing orderBy name and a repeated data name, before any job") {
+    val schema = StructType(Seq("id", "u", "id", "v", "v").map(StructField(_, LongType)))
+    // Collecting this frame fails with a SparkException, not an IllegalArgumentException.
+    val rows = spark.sparkContext.parallelize(Seq(0, 1)).map[Row](_ => throw new IllegalStateException("collected"))
+    val df = spark.createDataFrame(rows, schema)
+    def msg(df: DataFrame, orderBy: String) =
+      intercept[IllegalArgumentException](Instance.fromDataFrame(df, orderBy)).getMessage
+    val twice = msg(df, "id")
+    assert(twice.contains("'id'") && twice.contains("names 2 columns"), twice)
+    val none = msg(df, "key")
+    assert(none.contains("'key'") && none.contains("names 0 columns"), none)
+    val data = msg(df.toDF("id", "u", "w", "v", "v"), "id")
+    assert(data.contains("'v'") && data.contains("repeats"), data)
   }
 
   private def idFrame(idType: DataType, ids: Any*): DataFrame = {

@@ -43,11 +43,14 @@ object Clauses {
     * ascending order. Rows are grouped by [[Partition]]; a stamp array
     * renumbers the cells per position.
     *
-    * `closedFds` must be `FDs.closure` output. Then no clause of a position
-    * contains another: a clause of `p = (j, B)` has one cell in column `B`,
-    * its witness row's, so nested clauses share the witness row and have
-    * nested LHSs, which the closure's per-RHS antichain rules out. Other FD
-    * sets may yield a superset clause, which never changes `X(Q)`.
+    * `closedFds` must be `FDs.closure` output, of `F` or (as
+    * `PlaqueTest.pipeline` passes it) of the FDs of `F` whose LHS is not a
+    * key of `inst`: both give the same clauses, as a key-LHS FD gives none.
+    * Then no clause of a position contains another: a clause of
+    * `p = (j, B)` has one cell in column `B`, its witness row's, so nested
+    * clauses share the witness row and have nested LHSs, which the closure's
+    * per-RHS antichain rules out. Other FD sets may yield a superset clause,
+    * which never changes `X(Q)`.
     */
   def index(inst: Instance, closedFds: Seq[FD]): Map[Pos, Lowered] = index(inst, closedFds, Partition.of(inst))
 

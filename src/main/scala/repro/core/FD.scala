@@ -83,7 +83,9 @@ object FDs {
     * every live FD whose LHS contains its RHS) and once as the right premise
     * (against every live FD whose RHS is in its LHS). The output is identical,
     * element for element and in order, to that of the pairwise fixpoint this
-    * replaced. Column indices must lie in `[0, 64)`.
+    * replaced. Column indices must lie in `[0, 64)`; `PlaqueTest.pipeline`
+    * closes only the FDs whose LHS is not a key of its instance, so there
+    * the limit binds only those.
     */
   def closure(fds: Seq[FD]): Vector[FD] = {
     for (f <- fds)

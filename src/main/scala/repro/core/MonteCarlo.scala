@@ -18,7 +18,9 @@ import org.apache.spark.sql.SparkSession
   * clause is hit in the lanes of the OR of its cells' words, and `X = 1` in
   * the lanes of the AND over all clauses. Each lane's cells are independent
   * fair coins, so every sample has the §3.2 distribution and the Thm. 3.6
-  * bound holds unchanged.
+  * bound holds unchanged. A witness clause of an FD with `s` LHS columns has
+  * `2s + 1` cells; those of at most 3 cells (`s ≤ 1`, every clause of the
+  * five mimics) are evaluated in one unrolled pass over a flat index array.
   *
   * Non-unique cells whose clauses have the same shape (`Clauses.shapes`)
   * share one estimate, that of the class's least `(row, col)` cell. Its
@@ -69,9 +71,15 @@ object MonteCarlo {
     hits(mc, iters, new SplittableRandom(seed)).toDouble / iters
   }
 
-  /** Number of `iters` samples from `rng` that hit every clause, 64 per batch. */
+  /** Number of `iters` samples from `rng` that hit every clause, 64 per batch.
+    * Clauses of 1–3 cells are read from one flat array, three word indices
+    * each, a shorter clause padded by repeating a cell (OR is idempotent);
+    * longer and empty clauses keep a loop over their cells. The AND does not
+    * depend on the order, so the count is that of a clause-by-clause pass.
+    */
   private def hits(mc: MaskedClauses, iters: Long, rng: SplittableRandom): Long = {
-    val clauses = mc.vars
+    val (short, long) = mc.vars.partition(c => c.length >= 1 && c.length <= 3)
+    val flat = short.flatMap(c => Array(c(0), c(c.length / 2), c(c.length - 1)))
     val deleted = new Array[Long](mc.nVars)
     var total = 0L
     var left = iters
@@ -80,9 +88,14 @@ object MonteCarlo {
       while (v < deleted.length) { deleted(v) = rng.nextLong(); v += 1 }
       // Lanes still hitting every clause; the last batch counts `left` lanes.
       var alive = if (left >= 64) -1L else (1L << left) - 1
+      var i = 0
+      while (alive != 0L && i < flat.length) {
+        alive &= deleted(flat(i)) | deleted(flat(i + 1)) | deleted(flat(i + 2))
+        i += 3
+      }
       var ci = 0
-      while (alive != 0L && ci < clauses.length) {
-        val c = clauses(ci)
+      while (alive != 0L && ci < long.length) {
+        val c = long(ci)
         var hit = 0L
         var k = 0
         while (k < c.length) { hit |= deleted(c(k)); k += 1 }

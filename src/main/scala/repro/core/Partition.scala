@@ -20,6 +20,9 @@ private[core] final class Partition private (gid: Array[Int], start: Array[Int],
   /** Whether another row agrees with row `j` on the LHS. */
   def shared(j: Int): Boolean = until(j) - from(j) > 1
 
+  /** Whether the LHS is a key: every group is one row, so no row is [[shared]]. */
+  def key: Boolean = start.length - 1 == gid.length
+
   /** `(first(j), j)` for the least row `j` whose value in `col` differs from its group's first row's. */
   def violation(col: Array[Int]): Option[(Int, Int)] = {
     var j = 0

@@ -19,7 +19,9 @@ object PlaqueTest {
     * @param nonUnique  positions with entropy < 1 (Prop. 3.2 complement)
     * @param classes    clause-shape classes of `nonUnique`, one estimate each
     *                   (`Clauses.shapes`)
-    * @param closedFds  the FD closure actually used
+    * @param closedFds  the closure of the FDs of `F` whose LHS is not a key
+    *                   of `inst` (see [[pipeline]]); it may hold key-LHS
+    *                   resolvents, which have no witness row either
     * @param iterations MC iterations per non-unique cell (0 = exact)
     */
   final case class Result(
@@ -122,21 +124,31 @@ object PlaqueTest {
     run(spark, inst, FDs.byName(inst.attrs, fds), iterations, seed)
   }
 
-  /** The one plaque pipeline: check `I ⊨ F`, close `F` (§2.1), build the
-    * lowered witness clauses of every position once (§3.1, `Clauses.index`;
-    * it and the check group each LHS once, in one memoized [[Partition]]),
-    * estimate one position per clause shape ([[byShape]]), and set `INF = 1`
-    * elsewhere (Prop. 3.2). `estimate` receives only non-empty clause sets
-    * and must return a value for each of its keys.
+  /** The one plaque pipeline: check `I ⊨ F`, close the FDs of `F` whose
+    * LHS is not a key of `I` (§2.1), build the lowered witness clauses of
+    * every position once (§3.1, `Clauses.index`; it and the check group each
+    * LHS once, in one memoized [[Partition]]), estimate one position per
+    * clause shape ([[byShape]]), and set `INF = 1` elsewhere (Prop. 3.2).
+    * `estimate` receives only non-empty clause sets and must return a value
+    * for each of its keys.
     *
     * The clause reformulation assumes `I ⊨ F` (hence `I ⊨ F*`), so an FD
     * that does not hold is rejected ([[FDs.requireHolds]]).
+    *
+    * Key-LHS FDs are left out of the closure (TANE prunes keys likewise):
+    * such an FD has no witness row, so no clause (Prop. 3.2), and neither has
+    * any resolvent of it. As the left premise `L → r` its LHS is in the
+    * resolvent's; as the right premise `M → c` the resolvent's LHS
+    * `L ∪ M∖{r}` determines `M` in `I`, as `I ⊨ L → r`. So every non-key FD
+    * of `F*` derives from non-key FDs alone, and a subset of a non-key LHS is
+    * no key: both closures have the same non-key FDs, hence the same clauses.
+    * The 64-column limit of [[FDs.closure]] binds only the non-key FDs.
     */
   private[core] def pipeline(inst: Instance, fds: Seq[FD], iterations: Long)(
       estimate: Map[Pos, MonteCarlo.MaskedClauses] => Map[Pos, Double]): Result = {
     val partition = Partition.of(inst)
     FDs.requireHolds(inst, fds, partition)
-    val closed = FDs.closure(fds)
+    val closed = FDs.closure(fds.filterNot(f => partition(f.lhs).key))
     val (below, classes) = byShape(Clauses.index(inst, closed, partition), inst.arity)(estimate)
     val matrix = Vector.tabulate(inst.nRows, inst.arity)((j, k) => below.getOrElse(Pos(j, k), 1.0))
     Result(inst, matrix, below.keySet, classes, closed, iterations)

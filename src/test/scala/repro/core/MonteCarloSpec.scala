@@ -267,6 +267,25 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
   private def samplerThreads(): Iterable[Thread] =
     Thread.getAllStackTraces.keySet.asScala.filter(_.getName.startsWith("plaque-mc-"))
 
+  test("the flat 3-cell kernel counts the hits of referenceHits (2,000 random clause sets)") {
+    val rng = new scala.util.Random(17)
+    var lengths = Set.empty[Int]
+    for (i <- 0 until 2000) {
+      val nVars = 1 + rng.nextInt(12)
+      // Clause lengths 0–7, an empty clause rarely; cells drawn with repeats across clauses.
+      val vars = Array.fill(rng.nextInt(10)) {
+        val n = if (rng.nextInt(40) == 0) 0 else 1 + rng.nextInt(7)
+        rng.shuffle((0 until nVars).toVector).take(n).sorted.toArray
+      }
+      lengths ++= vars.map(_.length)
+      val mc = MonteCarlo.MaskedClauses(nVars, vars)
+      val iters = 1L + rng.nextInt(5000)
+      val want = TestGen.referenceHits(mc, iters, new java.util.SplittableRandom(i)).toDouble / iters
+      assert(MonteCarlo.estimate(mc, iters, i) == want, s"case $i: ${vars.map(_.mkString(",")).mkString(" | ")}, $iters")
+    }
+    assert(lengths == (0 to 7).toSet, lengths)
+  }
+
   test("the block runner gives the same hits for 1, 2, 3 and 8 workers") {
     val ex34 = Instance(
       Vector("A", "B", "C", "D"),
@@ -303,16 +322,20 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("run samples on daemon threads plaque-mc-<n>, at most one per core, and none outlives it") {
-    val sat = Experiments.prepare(spark, "satellites")
+    // ncvoter's 166 clause shapes at 1M iterations sample for hundreds of
+    // milliseconds, and the watcher polls every millisecond from before the run.
+    val nc = Experiments.prepare(spark, "ncvoter")
     val seen = scala.collection.mutable.Set.empty[(String, Boolean)]
+    val polling = new java.util.concurrent.CountDownLatch(1)
     @volatile var done = false
     val watcher = new Thread(() =>
       while (!done) {
         seen.synchronized(seen ++= samplerThreads().map(t => (t.getName, t.isDaemon)))
+        polling.countDown()
         Thread.sleep(1)
       })
     watcher.start()
-    try PlaqueTest.run(spark, sat.inst, sat.fds, 2000000, 1)
+    try { polling.await(); PlaqueTest.run(spark, nc.inst, nc.fds, 1000000, 1) }
     finally { done = true; watcher.join() }
     assert(samplerThreads().isEmpty)
     val cores = math.min(spark.sparkContext.defaultParallelism, Runtime.getRuntime.availableProcessors)

@@ -287,6 +287,24 @@ object TestGen {
     Instance.encode(dataCols, local.map(r => dataCols.indices.map(i => r.get(i + 1))).toSeq)
   }
 
+  /** The clause-by-clause sampler loop that `MonteCarlo`'s flat 3-cell pass
+    * replaced, kept as its oracle: for the same `rng` seed the hit counts
+    * must be equal.
+    */
+  def referenceHits(mc: MonteCarlo.MaskedClauses, iters: Long, rng: java.util.SplittableRandom): Long = {
+    val deleted = new Array[Long](mc.nVars)
+    var total = 0L
+    var left = iters
+    while (left > 0) {
+      for (v <- deleted.indices) deleted(v) = rng.nextLong()
+      var alive = if (left >= 64) -1L else (1L << left) - 1
+      for (c <- mc.vars) alive &= c.foldLeft(0L)((hit, v) => hit | deleted(v))
+      total += java.lang.Long.bitCount(alive)
+      left -= 64
+    }
+    total
+  }
+
   /** A random subset of positions excluding `p`. */
   def randomQ(inst: Instance, p: Pos, rng: Random): Set[Pos] =
     inst.positions.filterNot(_ == p).filter(_ => rng.nextBoolean()).toSet

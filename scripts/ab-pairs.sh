@@ -51,6 +51,7 @@ run() {
   out=$(cd "$dir" && python3 perfbench/run.py --workload "$workload" --seed "$seed" \
     --seconds "$seconds" --trace 0 | tail -n 1)
   echo "$out" >> "$tmp/$side.jsonl"
+  cp "$dir/perfbench/target/runs/$workload-seed$seed-trace0.json" "$tmp/$side-seed$seed.json"
   echo "pair seed $seed, $side: $out"
 }
 
@@ -63,10 +64,11 @@ for ((i = 0; i < pairs; i++)); do
   fi
 done
 
-python3 - "$tmp" "$rev" "$workload" "$claimed" <<'EOF'
+python3 - "$tmp" "$rev" "$workload" "$claimed" "$first" "$pairs" <<'EOF'
 import json, statistics, sys
 
-tmp, rev, workload, claimed = sys.argv[1:]
+tmp, rev, workload, claimed = sys.argv[1:5]
+seeds = range(int(sys.argv[5]), int(sys.argv[5]) + int(sys.argv[6]))
 declared = json.load(open("BENCHMARK.json"))["end_to_end"]
 def load(side):
     return [json.loads(l) for l in open(f"{tmp}/{side}.jsonl")]
@@ -104,4 +106,24 @@ for m in declared:
         shown = wins * 10 >= 9 * len(p) and gap > iqr
         print(f"    claim {name}: change wins {wins}/{len(p)} (need 9 in 10), median gap {gap:.4g}"
               f" vs parent IQR {iqr:.4g}: gain {'SHOWN' if shown else 'NOT shown'}")
+
+def op_times(side):
+    """Per op label: (warm ms, first-pass ms) of each of the side's runs."""
+    out = {}
+    for s in seeds:
+        rec = json.load(open(f"{tmp}/{side}-seed{s}.json"))
+        passes = 1 + len(rec["env"]["warm_pass_ms"])
+        for label, ms in rec["op_ms"].items():
+            k = max(1, len(ms) // passes)  # ops of this label per pass
+            warm = statistics.median(ms[k:]) if len(ms) > k else float("nan")
+            out.setdefault(label, []).append((warm, statistics.median(ms[:k])))
+    return out
+
+ops = {side: op_times(side) for side in ("parent", "change")}
+print(f"\n  per op, median over runs (ms): warm parent -> change | first pass parent -> change")
+for label in sorted(set(ops["parent"]) | set(ops["change"])):
+    def med(side, i):
+        xs = [t[i] for t in ops[side].get(label, [])]
+        return f"{statistics.median(xs):8.2f}" if xs else "       -"
+    print(f"    {label:28} {med('parent', 0)} -> {med('change', 0)} | {med('parent', 1)} -> {med('change', 1)}")
 EOF

@@ -41,7 +41,8 @@ object Clauses {
     * numbered first-seen over the clauses, each clause's cells taken in
     * ascending `(row, col)` order; `vars(i)` lists clause `i`'s numbers in
     * ascending order. Rows are grouped by [[Partition]]; a stamp array
-    * renumbers the cells per position.
+    * renumbers the cells per position. [[classes]] lowers the same way, for
+    * class representatives only.
     *
     * `closedFds` must be `FDs.closure` output, of `F` or (as
     * `PlaqueTest.pipeline` passes it) of the FDs of `F` whose LHS is not a
@@ -55,51 +56,141 @@ object Clauses {
   def index(inst: Instance, closedFds: Seq[FD]): Map[Pos, Lowered] = index(inst, closedFds, Partition.of(inst))
 
   private[core] def index(inst: Instance, closedFds: Seq[FD], partition: Set[Int] => Partition): Map[Pos, Lowered] = {
-    val m = inst.arity
-    // owner(c) is the last position id that numbered cell c, as number(c).
-    val owner = Array.fill(inst.nCells)(-1)
-    val number = new Array[Int](inst.nCells)
-    var pid = -1
+    val w = new Witnesses(inst, closedFds, partition)
     val out = Map.newBuilder[Pos, Lowered]
-    for ((b, fds) <- closedFds.filterNot(_.trivial).groupBy(_.rhs)) {
-      val lhs = fds.map(_.lhs.toArray.sorted).toArray
-      val withRhs = fds.map(f => (f.lhs + b).toArray.sorted).toArray
-      val groups = fds.map(f => partition(f.lhs)).toArray
-      for (j <- 0 until inst.nRows if groups.exists(_.shared(j))) {
-        pid += 1
-        val cells = Array.newBuilder[Int]
-        var nVars = 0
-        // Numbers row `row`'s cells in columns `cs` into `clause` from `at` on.
-        def put(clause: Array[Int], at: Int, row: Int, cs: Array[Int]): Unit = {
-          var i = 0
-          while (i < cs.length) {
-            val c = row * m + cs(i)
-            if (owner(c) != pid) { owner(c) = pid; number(c) = nVars; cells += c; nVars += 1 }
-            clause(at + i) = number(c)
-            i += 1
-          }
-        }
-        val vars = Array.newBuilder[Array[Int]]
+    for (b <- w.rhs.indices; j <- 0 until inst.nRows if w.shared(b, j)) out += Pos(j, w.rhs(b)) -> w.lower(b, j)
+    out.result()
+  }
+
+  /** The clause-shape classes of the non-unique positions, read off the
+    * partitions: each position's representative, and the lowered clauses
+    * ([[index]]'s entry) of the representatives only.
+    *
+    * A witness clause of `p = (j, B)` from `L → B` has the cells `L` in row
+    * `j` and `L ∪ {B}` in its witness row, fixed by the FD. So the clauses
+    * that touch witness row `w` are given by `w`'s signature, the set of
+    * closed FDs with RHS `B` whose group of `j` holds `w` (its agree set,
+    * Dep-Miner: Lopes, Petit, Lakhal, EDBT 2000), and `p`'s class key is
+    * `(B, multiset of its witness rows' signatures)`. Signatures are FD-index
+    * bitsets of `⌈#FDs with RHS B / 64⌉` words, sorted into one array, and
+    * compared word for word. These are the classes of [[shapes]] on
+    * [[index]], whose keys give the mask pairs of the same clauses row by
+    * row, and the representative is, as there, the class's least
+    * `(row, col)` position. `closedFds` is as for [[index]].
+    */
+  private[core] def classes(inst: Instance, closedFds: Seq[FD], partition: Set[Int] => Partition)
+      : (Map[Pos, Pos], Map[Pos, Lowered]) = {
+    val n = inst.nRows
+    val w = new Witnesses(inst, closedFds, partition)
+    val repOf = Map.newBuilder[Pos, Pos]
+    val reps = Map.newBuilder[Pos, Lowered]
+    // stamp(r) == id: row r is one of the current position's witness rows, rows(0 until t).
+    val stamp = Array.fill(n)(-1)
+    val rows = new Array[Int](n)
+    var id = -1
+    for (b <- w.rhs.indices) {
+      val groups = w.groups(b)
+      val words = (groups.length + 63) / 64
+      val sig = new Array[Long](n * words)
+      val first = scala.collection.mutable.HashMap.empty[Shape, Int]
+      for (j <- 0 until n if w.shared(b, j)) {
+        id += 1
+        var t = 0
         for (fi <- groups.indices) {
           val g = groups(fi)
           var k = g.from(j)
           while (k < g.until(j)) {
-            val w = g.members(k)
-            if (w != j) {
-              val clause = new Array[Int](lhs(fi).length + withRhs(fi).length)
-              // Cells in ascending (row, col) order: the lower row's first.
-              if (w < j) { put(clause, 0, w, withRhs(fi)); put(clause, withRhs(fi).length, j, lhs(fi)) }
-              else { put(clause, 0, j, lhs(fi)); put(clause, lhs(fi).length, w, withRhs(fi)) }
-              java.util.Arrays.sort(clause)
-              vars += clause
+            val r = g.members(k)
+            if (r != j) {
+              if (stamp(r) != id) {
+                stamp(r) = id; rows(t) = r; t += 1
+                java.util.Arrays.fill(sig, r * words, r * words + words, 0L)
+              }
+              sig(r * words + fi / 64) |= 1L << fi
             }
             k += 1
           }
         }
-        out += Pos(j, b) -> Lowered(MaskedClauses(nVars, vars.result()), cells.result())
+        val rep = first.getOrElseUpdate(new Shape(sorted(sig, words, rows, t)), j)
+        repOf += Pos(j, w.rhs(b)) -> Pos(rep, w.rhs(b))
+        if (rep == j) reps += Pos(j, w.rhs(b)) -> w.lower(b, j)
       }
     }
-    out.result()
+    (repOf.result(), reps.result())
+  }
+
+  /** The signatures of `rows(0 until t)`, `words` words each at row `r`'s
+    * offset `r · words` in `sig`, sorted into one array.
+    */
+  private def sorted(sig: Array[Long], words: Int, rows: Array[Int], t: Int): Array[Long] = {
+    val key = new Array[Long](t * words)
+    if (words == 1) {
+      for (i <- 0 until t) key(i) = sig(rows(i))
+      java.util.Arrays.sort(key)
+    } else {
+      val order = Array.tabulate(t)(i => Integer.valueOf(rows(i)))
+      java.util.Arrays.sort(order, (x: Integer, y: Integer) =>
+        java.util.Arrays.compare(sig, x * words, x * words + words, sig, y * words, y * words + words))
+      for (i <- 0 until t) System.arraycopy(sig, order(i) * words, key, i * words, words)
+    }
+    key
+  }
+
+  /** The non-trivial closed FDs grouped by RHS, with their LHS partitions,
+    * and the lowering of one position's witness clauses, as [[index]]
+    * numbers them.
+    */
+  private final class Witnesses(inst: Instance, closedFds: Seq[FD], partition: Set[Int] => Partition) {
+    private val byRhs = closedFds.filterNot(_.trivial).groupBy(_.rhs).toArray
+    /** RHS column of FD group `b`. */
+    val rhs: Array[Int] = byRhs.map(_._1)
+    /** The LHS partitions of group `b`'s FDs, in FD order. */
+    val groups: Array[Array[Partition]] = byRhs.map(_._2.map(f => partition(f.lhs)).toArray)
+    private val lhs = byRhs.map(_._2.map(_.lhs.toArray.sorted).toArray)
+    private val withRhs = byRhs.map { case (b, fds) => fds.map(f => (f.lhs + b).toArray.sorted).toArray }
+    private val m = inst.arity
+    // owner(c) is the last position id that numbered cell c, as number(c).
+    private val owner = Array.fill(inst.nCells)(-1)
+    private val number = new Array[Int](inst.nCells)
+    private var pid = -1
+
+    /** Whether `(j, rhs(b))` has a witness row under one of group `b`'s FDs. */
+    def shared(b: Int, j: Int): Boolean = groups(b).exists(_.shared(j))
+
+    /** The lowered witness clauses of `(j, rhs(b))`. */
+    def lower(b: Int, j: Int): Lowered = {
+      pid += 1
+      val cells = Array.newBuilder[Int]
+      var nVars = 0
+      // Numbers row `row`'s cells in columns `cs` into `clause` from `at` on.
+      def put(clause: Array[Int], at: Int, row: Int, cs: Array[Int]): Unit = {
+        var i = 0
+        while (i < cs.length) {
+          val c = row * m + cs(i)
+          if (owner(c) != pid) { owner(c) = pid; number(c) = nVars; cells += c; nVars += 1 }
+          clause(at + i) = number(c)
+          i += 1
+        }
+      }
+      val vars = Array.newBuilder[Array[Int]]
+      for (fi <- groups(b).indices) {
+        val (g, l, lr) = (groups(b)(fi), lhs(b)(fi), withRhs(b)(fi))
+        var k = g.from(j)
+        while (k < g.until(j)) {
+          val w = g.members(k)
+          if (w != j) {
+            val clause = new Array[Int](l.length + lr.length)
+            // Cells in ascending (row, col) order: the lower row's first.
+            if (w < j) { put(clause, 0, w, lr); put(clause, lr.length, j, l) }
+            else { put(clause, 0, j, l); put(clause, l.length, w, lr) }
+            java.util.Arrays.sort(clause)
+            vars += clause
+          }
+          k += 1
+        }
+      }
+      Lowered(MaskedClauses(nVars, vars.result()), cells.result())
+    }
   }
 
   /** The witness clauses of every non-unique position over positions: the

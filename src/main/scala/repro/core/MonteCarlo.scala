@@ -1,6 +1,5 @@
 package repro.core
 
-import java.util.SplittableRandom
 import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 
 import org.apache.spark.sql.SparkSession
@@ -14,15 +13,17 @@ import org.apache.spark.sql.SparkSession
   *
   * The sampler is bit-sliced: 64 samples run at once, one per bit lane.
   * Word `v` of a batch holds clause cell `v` of all 64 samples (bit `i` set =
-  * the cell is deleted in sample `i`), drawn as one uniform `nextLong`. A
-  * clause is hit in the lanes of the OR of its cells' words, and `X = 1` in
+  * the cell is deleted in sample `i`), one word of SplitMix64, the generator
+  * of `java.util.SplittableRandom`, drawn by random access (the `k`-th word
+  * is a pure function of the seed and `k`; Steele, Lea, Flood, OOPSLA 2014).
+  * A clause is hit in the lanes of the OR of its cells' words, and `X = 1` in
   * the lanes of the AND over all clauses. Each lane's cells are independent
   * fair coins, so every sample has the §3.2 distribution and the Thm. 3.6
   * bound holds unchanged. A witness clause of an FD with `s` LHS columns has
   * `2s + 1` cells; those of at most 3 cells (`s ≤ 1`, every clause of the
   * five mimics) are evaluated in one unrolled pass over a flat index array.
   *
-  * Non-unique cells whose clauses have the same shape (`Clauses.shapes`)
+  * Non-unique cells whose clauses have the same shape (`Clauses.classes`)
   * share one estimate, that of the class's least `(row, col)` cell. Its
   * budget is cut into blocks of 25 000 iterations, and block `b` of cell `p`
   * draws from a generator seeded by a pure function of `(seed, p.row, p.col,
@@ -68,61 +69,84 @@ object MonteCarlo {
   /** One MC estimate: fraction of sampled deletions that hit every clause. */
   def estimate(mc: MaskedClauses, iters: Long, seed: Long): Double = {
     require(iters > 0, s"iteration count must be positive, got $iters")
-    hits(mc, iters, new SplittableRandom(seed)).toDouble / iters
+    new Kernel(mc).hits(iters, seed).toDouble / iters
   }
 
-  /** Number of `iters` samples from `rng` that hit every clause, 64 per batch.
-    * Clauses of 1–3 cells are read from one flat array, three word indices
-    * each, a shorter clause padded by repeating a cell (OR is idempotent);
-    * longer and empty clauses keep a loop over their cells. The AND does not
-    * depend on the order, so the count is that of a clause-by-clause pass.
+  /** SplitMix64's increment: the `k`-th `nextLong` (from 0) of
+    * `new java.util.SplittableRandom(s)` is `mix64(s + (k + 1) · Gamma)`.
     */
-  private def hits(mc: MaskedClauses, iters: Long, rng: SplittableRandom): Long = {
-    val (short, long) = mc.vars.partition(c => c.length >= 1 && c.length <= 3)
-    val flat = short.flatMap(c => Array(c(0), c(c.length / 2), c(c.length - 1)))
-    val deleted = new Array[Long](mc.nVars)
-    var total = 0L
-    var left = iters
-    while (left > 0) {
-      var v = 0
-      while (v < deleted.length) { deleted(v) = rng.nextLong(); v += 1 }
-      // Lanes still hitting every clause; the last batch counts `left` lanes.
-      var alive = if (left >= 64) -1L else (1L << left) - 1
-      var i = 0
-      while (alive != 0L && i < flat.length) {
-        alive &= deleted(flat(i)) | deleted(flat(i + 1)) | deleted(flat(i + 2))
-        i += 3
+  private[core] val Gamma = 0x9e3779b97f4a7c15L
+
+  /** A clause set laid out for the sampler once, for all blocks of its
+    * position. Clauses of 1–3 cells go into one flat array, three word
+    * indices each, a shorter clause padded by repeating a cell (OR is
+    * idempotent); longer and empty clauses keep a loop over their cells.
+    * `offs(v) = (v + 1) · Gamma`, so that word `v` of batch `t` of the stream
+    * seeded `s` is `mix64(s + t · nVars · Gamma + offs(v))`: the
+    * `(t · nVars + v)`-th `nextLong` of `new SplittableRandom(s)`, drawn by
+    * random access in a loop without a carried dependency.
+    */
+  private final class Kernel(mc: MaskedClauses) {
+    private val flat = mc.vars.filter(c => c.length >= 1 && c.length <= 3).flatMap(c => Array(c(0), c(c.length / 2), c(c.length - 1)))
+    private val long = mc.vars.filter(c => c.length == 0 || c.length > 3)
+    private val offs = Array.tabulate(mc.nVars)(v => (v + 1) * Gamma)
+
+    /** Number of `iters` samples of the stream seeded `seed` that hit every
+      * clause, 64 per batch. The AND does not depend on the order, so the
+      * count is that of a clause-by-clause pass.
+      */
+    def hits(iters: Long, seed: Long): Long = {
+      val deleted = new Array[Long](offs.length)
+      val stride = offs.length * Gamma
+      var base = seed
+      var total = 0L
+      var left = iters
+      while (left > 0) {
+        draw(deleted, base)
+        base += stride
+        // Lanes still hitting every clause; the last batch counts `left` lanes.
+        var alive = if (left >= 64) -1L else (1L << left) - 1
+        var i = 0
+        while (alive != 0L && i < flat.length) {
+          alive &= deleted(flat(i)) | deleted(flat(i + 1)) | deleted(flat(i + 2))
+          i += 3
+        }
+        var ci = 0
+        while (alive != 0L && ci < long.length) {
+          val c = long(ci)
+          var hit = 0L
+          var k = 0
+          while (k < c.length) { hit |= deleted(c(k)); k += 1 }
+          alive &= hit
+          ci += 1
+        }
+        total += java.lang.Long.bitCount(alive)
+        left -= 64
       }
-      var ci = 0
-      while (alive != 0L && ci < long.length) {
-        val c = long(ci)
-        var hit = 0L
-        var k = 0
-        while (k < c.length) { hit |= deleted(c(k)); k += 1 }
-        alive &= hit
-        ci += 1
-      }
-      total += java.lang.Long.bitCount(alive)
-      left -= 64
+      total
     }
-    total
+
+    /** One batch's words, from the stream position `base`. */
+    private def draw(deleted: Array[Long], base: Long): Unit = {
+      var v = 0
+      while (v < deleted.length) { deleted(v) = mix64(base + offs(v)); v += 1 }
+    }
   }
 
   /** Iterations per block; the block index enters the block's seed. */
   private val BlockIters = 25000L
 
-  /** Hits of block `b` of cell `p`'s `iters` budget, seeded by a pure
+  /** Hits of block `b` of position `p`'s `iters` budget, seeded by a pure
     * function of `(seed, p.row, p.col, b)` so that any schedule of the blocks
     * sums to the same count.
     */
-  private def blockHits(cell: (Pos, MaskedClauses), seed: Long, b: Int, iters: Long): Long = {
-    val (p, mc) = cell
-    val s = Seq(p.row.toLong, p.col.toLong, b.toLong).foldLeft(seed)((h, x) => mix64(h + (x + 1) * 0x9e3779b97f4a7c15L))
-    hits(mc, math.min(BlockIters, iters - b * BlockIters), new SplittableRandom(s))
+  private def blockHits(p: Pos, kernel: Kernel, seed: Long, b: Int, iters: Long): Long = {
+    val s = Seq(p.row.toLong, p.col.toLong, b.toLong).foldLeft(seed)((h, x) => mix64(h + (x + 1) * Gamma))
+    kernel.hits(math.min(BlockIters, iters - b * BlockIters), s)
   }
 
-  /** SplitMix64's finalizer (Stafford's Mix13). */
-  private def mix64(z0: Long): Long = {
+  /** SplitMix64's finalizer (Stafford's Mix13), as in `java.util.SplittableRandom`. */
+  private[core] def mix64(z0: Long): Long = {
     val z1 = (z0 ^ (z0 >>> 30)) * 0xbf58476d1ce4e5b9L
     val z2 = (z1 ^ (z1 >>> 27)) * 0x94d049bb133111ebL
     z2 ^ (z2 >>> 31)
@@ -161,7 +185,8 @@ object MonteCarlo {
     math.min(spark.sparkContext.defaultParallelism, Runtime.getRuntime.availableProcessors)
 
   /** MC estimates for lowered clause sets on up to `workers` daemon threads
-    * `plaque-mc-<n>`, joined before the call returns. Work item `t` is block
+    * `plaque-mc-<n>`, joined before the call returns. Each set is laid out
+    * once, as one [[Kernel]] that all its blocks share. Work item `t` is block
     * `t % nBlocks` of position `t / nBlocks`; workers claim items from one
     * counter and store each block's hits in the item's slot. A worker's
     * exception stops the others and is rethrown; a position with a block
@@ -170,6 +195,7 @@ object MonteCarlo {
   private[core] def sample(masked: Map[Pos, MaskedClauses], iters: Long, seed: Long, workers: Int): Map[Pos, Double] = {
     require(iters > 0, s"iteration count must be positive, got $iters")
     val cells = masked.toArray
+    val kernels = cells.map { case (_, mc) => new Kernel(mc) }
     val nBlocks = Math.toIntExact((iters + BlockIters - 1) / BlockIters)
     val hit = Array.fill(Math.multiplyExact(cells.length, nBlocks))(-1L)
     val next = new AtomicInteger
@@ -178,7 +204,7 @@ object MonteCarlo {
       try {
         var t = next.getAndIncrement()
         while (t < hit.length) {
-          hit(t) = blockHits(cells(t / nBlocks), seed, t % nBlocks, iters)
+          hit(t) = blockHits(cells(t / nBlocks)._1, kernels(t / nBlocks), seed, t % nBlocks, iters)
           t = next.getAndIncrement()
         }
       } catch { case e: Throwable => failure.compareAndSet(null, e); next.set(hit.length) }

@@ -5,8 +5,9 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 /** End-to-end "plaque test": per-cell entropy matrix for a relation instance
   * under a set of functional dependencies (the paper's visualization input).
   *
-  * Pipeline = closure (§2.1) → lowered witness clauses (§3.1) → an estimator for the
-  * positions that have clauses; every other position is unique and gets 1
+  * Pipeline = closure (§2.1) → clause-shape classes → lowered witness clauses
+  * (§3.1) of one position per class → an estimator for those, whose values
+  * their classes share; every other position is unique and gets 1
   * (Prop. 3.2). [[run]] estimates by Monte Carlo (§3.2) on the session's
   * cores as driver threads, [[runExact]] exactly (Prop. 2.9).
   */
@@ -18,7 +19,8 @@ object PlaqueTest {
     * @param entropies  `entropies(row)(col)` — 1.0 for unique cells
     * @param nonUnique  positions with entropy < 1 (Prop. 3.2 complement)
     * @param classes    clause-shape classes of `nonUnique`, one estimate each
-    *                   (`Clauses.shapes`)
+    *                   (`Clauses.classes`: equal FD column, equal multiset
+    *                   of witness-row signatures)
     * @param closedFds  the closure of the FDs of `F` whose LHS is not a key
     *                   of `inst` (see [[pipeline]]); it may hold key-LHS
     *                   resolvents, which have no witness row either
@@ -103,10 +105,10 @@ object PlaqueTest {
   ): Result =
     pipeline(inst, fds, iterations)(MonteCarlo.sample(_, iterations, seed, MonteCarlo.workers(spark)))
 
-  /** Run the plaque test with *exact* clause-based entropies. A position
-    * whose clause-cell union exceeds 26 cells is an
-    * `IllegalArgumentException` naming the union size and the least position
-    * of its clause-shape class.
+  /** Run the plaque test with *exact* clause-based entropies. Only class
+    * representatives are enumerated, so a class whose clause-cell union
+    * exceeds 26 cells is an `IllegalArgumentException` naming the union size
+    * and the class's least position.
     */
   def runExact(inst: Instance, fds: Seq[FD]): Result =
     pipeline(inst, fds, 0L)(_.map { case (p, mc) => p -> ExactEntropy.viaClauses(p, mc) })
@@ -125,10 +127,12 @@ object PlaqueTest {
   }
 
   /** The one plaque pipeline: check `I ⊨ F`, close the FDs of `F` whose
-    * LHS is not a key of `I` (§2.1), build the lowered witness clauses of
-    * every position once (§3.1, `Clauses.index`; it and the check group each
-    * LHS once, in one memoized [[Partition]]), estimate one position per
-    * clause shape ([[byShape]]), and set `INF = 1` elsewhere (Prop. 3.2).
+    * LHS is not a key of `I` (§2.1), key every non-unique position's
+    * clause-shape class once (`Clauses.classes`, keyed off the same memoized
+    * [[Partition]] as the check, so each LHS is grouped once), lower the
+    * witness clauses (§3.1) of each class's least `(row, col)` position only,
+    * estimate those, copy each value to its class, and set `INF = 1`
+    * elsewhere (Prop. 3.2).
     * `estimate` receives only non-empty clause sets and must return a value
     * for each of its keys.
     *
@@ -149,16 +153,18 @@ object PlaqueTest {
     val partition = Partition.of(inst)
     FDs.requireHolds(inst, fds, partition)
     val closed = FDs.closure(fds.filterNot(f => partition(f.lhs).key))
-    val (below, classes) = byShape(Clauses.index(inst, closed, partition), inst.arity)(estimate)
+    val (repOf, reps) = Clauses.classes(inst, closed, partition)
+    val below = spread(repOf, reps)(estimate)
     val matrix = Vector.tabulate(inst.nRows, inst.arity)((j, k) => below.getOrElse(Pos(j, k), 1.0))
-    Result(inst, matrix, below.keySet, classes, closed, iterations)
+    Result(inst, matrix, below.keySet, reps.size, closed, iterations)
   }
 
-  /** Estimates each clause shape once (`Clauses.shapes`; `INF` and the law of
-    * its MC estimate depend only on it): `estimate` gets one representative
-    * per class, the class's least `(row, col)` position with its own clauses,
-    * and every member gets its representative's value. Returns the values of
-    * all keys of `lowered` and the number of classes.
+  /** Estimates each clause shape of arbitrary lowered clause sets once
+    * (`Clauses.shapes`, which [[pipeline]]'s `Clauses.classes` reproduces
+    * from the partitions): the class's least `(row, col)` position is its
+    * representative, and a position with a clause that touches no row or two
+    * rows besides its own is a class of its own. Returns the values of all
+    * keys of `lowered` and the number of classes.
     */
   private[core] def byShape(lowered: Map[Pos, Clauses.Lowered], arity: Int)(
       estimate: Map[Pos, MonteCarlo.MaskedClauses] => Map[Pos, Double]): (Map[Pos, Double], Int) = {
@@ -167,8 +173,17 @@ object PlaqueTest {
     val repOf = lowered.keys.toArray.sortBy(p => (p.row, p.col)).map { p =>
       p -> shape(p, lowered(p)).fold(p)(reps.getOrElseUpdate(_, p))
     }
-    val classes = repOf.collect { case (p, rep) if p == rep => p -> lowered(p).mc }
-    val values = estimate(classes.toMap)
-    (repOf.iterator.map { case (p, rep) => p -> values(rep) }.toMap, classes.length)
+    val classes = repOf.collect { case (p, rep) if p == rep => p -> lowered(p) }.toMap
+    (spread(repOf.toMap, classes)(estimate), classes.size)
+  }
+
+  /** `estimate` gets one representative per class with its own clauses
+    * (`INF` and the law of its MC estimate depend only on the shape), and
+    * every member of `repOf` gets its representative's value.
+    */
+  private def spread(repOf: Map[Pos, Pos], reps: Map[Pos, Clauses.Lowered])(
+      estimate: Map[Pos, MonteCarlo.MaskedClauses] => Map[Pos, Double]): Map[Pos, Double] = {
+    val values = estimate(reps.map { case (p, l) => p -> l.mc })
+    repOf.map { case (p, rep) => p -> values(rep) }
   }
 }

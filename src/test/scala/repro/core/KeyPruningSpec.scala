@@ -34,24 +34,6 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  /** Random instances with their FDs: narrow and wide (empty LHSs, constant
-    * columns) ones, the wide ones also with duplicate rows and cut to 0 and 1 rows.
-    */
-  private lazy val cases: Seq[(String, Instance, Vector[FD])] =
-    (0L until 200L).map { seed =>
-      val (inst, fds) = TestGen.instanceWithFds(seed)
-      (s"narrow seed $seed", inst, fds)
-    } ++ (0L until 300L).flatMap { seed =>
-      val (inst, fds) = TestGen.instanceWithWideFds(seed)
-      Seq(
-        (s"wide seed $seed", inst, fds),
-        // Duplicates keep I ⊨ F, and no LHS is a key.
-        (s"wide seed $seed, rows doubled", Instance(inst.attrs, inst.rows.flatMap(r => Vector(r, r))), fds),
-        (s"wide seed $seed, 1 row", Instance(inst.attrs, inst.rows.take(1)), fds),
-        (s"wide seed $seed, 0 rows", Instance(inst.attrs, Vector.empty), fds),
-      )
-    }
-
   test("Partition.key: one row per group, on the ∅ LHS, 0 rows, 1 row and duplicate rows") {
     val attrs = Vector("A", "B", "C")
     def keys(rows: Vector[Vector[Int]]): Seq[Boolean] = {
@@ -69,7 +51,7 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
   test("the closure of the non-key FDs has the non-key FDs of F* and gives the same clauses (1,400 instances)") {
     var keyFds = 0
     var nonKeyFds = 0
-    for ((name, inst, fds) <- cases) {
+    for ((name, inst, fds) <- TestGen.pipelineCases) {
       val (keyed, rest) = fds.partition(key(inst))
       val (pruned, full) = (FDs.closure(rest), FDs.closure(fds))
       assert(pruned.filterNot(key(inst)) == full.filterNot(key(inst)), name)
@@ -82,7 +64,7 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
 
   test("runExact and matrixLocal equal a pipeline that closes all of F (1,400 instances)") {
     var refused = 0
-    for ((name, inst, fds) <- cases) {
+    for ((name, inst, fds) <- TestGen.pipelineCases) {
       def message(t: Try[Vector[Vector[Double]]]) = t.toEither.left.map(_.getMessage)
       val exact = Try(fullClosure(inst, fds)(_.map { case (p, mc) => p -> ExactEntropy.viaClauses(p, mc) }))
       assert(message(Try(PlaqueTest.runExact(inst, fds).entropies)) == message(exact), name)
@@ -90,7 +72,7 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
       val mc = fullClosure(inst, fds)(MonteCarlo.sample(_, 3000, 9, 1))
       assert(MonteCarlo.matrixLocal(inst, fds, 3000, 9) == inst.positions.map(p => p -> mc(p.row)(p.col)).toMap, name)
     }
-    assert(refused < cases.size / 10, refused)
+    assert(refused < TestGen.pipelineCases.size / 10, refused)
   }
 
   test("the closure of the non-key FDs may keep a key-LHS resolvent that F* subsumes") {

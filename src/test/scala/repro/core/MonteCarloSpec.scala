@@ -286,6 +286,16 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
     assert(lengths == (0 to 7).toSet, lengths)
   }
 
+  test("the random-access word mix64(s + (k + 1) · Gamma) is nextLong k of new SplittableRandom(s) (k < 10,000, 300 seeds)") {
+    val rng = new scala.util.Random(23)
+    val seeds = Seq(0L, -1L, 1L, Long.MinValue, Long.MaxValue, MonteCarlo.Gamma, -MonteCarlo.Gamma) ++ Seq.fill(293)(rng.nextLong())
+    for (s <- seeds) {
+      val jdk = new java.util.SplittableRandom(s)
+      val k = (0 until 10000).indexWhere(k => MonteCarlo.mix64(s + (k + 1) * MonteCarlo.Gamma) != jdk.nextLong())
+      assert(k == -1, s"seed $s: word $k differs")
+    }
+  }
+
   test("the block runner gives the same hits for 1, 2, 3 and 8 workers") {
     val ex34 = Instance(
       Vector("A", "B", "C", "D"),

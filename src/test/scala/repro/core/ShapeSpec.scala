@@ -5,8 +5,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.exp.{Experiments, Fig3Exp}
 
-/** Clause shapes (`Clauses.shapes`) and the per-shape estimates of
-  * `PlaqueTest.byShape`: equal shapes must mean equal exact values, and every
+/** Clause shapes (`Clauses.shapes`), the classes that `Clauses.classes`
+  * keys off the partitions, and the per-shape estimates: equal shapes must
+  * mean equal exact values, both keys must give the same classes, and every
   * estimator gives a class's members the value its representative gets alone.
   */
 class ShapeSpec extends AnyFunSuite with SparkSpec {
@@ -18,6 +19,69 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     val shape = Clauses.shapes(inst.arity)
     val byKey = sorted.groupBy(p => shape(p, index(p)).toRight(p))
     (index, byKey.values.map(_.sortBy(p => (p.row, p.col))).toSeq)
+  }
+
+  /** Each non-unique position's representative under `Clauses.shapes` on
+    * the full index: the least `(row, col)` position of its class.
+    */
+  private def shapeReps(index: Map[Pos, Clauses.Lowered], arity: Int): Map[Pos, Pos] = {
+    val shape = Clauses.shapes(arity)
+    val first = scala.collection.mutable.HashMap.empty[Clauses.Shape, Pos]
+    index.keys.toVector.sortBy(p => (p.row, p.col)).map(p => p -> shape(p, index(p)).fold(p)(first.getOrElseUpdate(_, p))).toMap
+  }
+
+  /** `Clauses.classes` against the `Clauses.shapes` oracle: the same
+    * representative for every position, and each representative lowered
+    * element for element as `Clauses.index` lowers it. Returns the classes'
+    * sizes.
+    */
+  private def assertClasses(inst: Instance, closed: Seq[FD], at: String): Seq[Int] = {
+    val index = Clauses.index(inst, closed)
+    val (repOf, reps) = Clauses.classes(inst, closed, Partition.of(inst))
+    assert(repOf == shapeReps(index, inst.arity), at)
+    assert(reps.keySet == repOf.values.toSet, at)
+    for ((p, l) <- reps) {
+      val full = index(p)
+      assert(l.mc.nVars == full.mc.nVars && l.cells.toSeq == full.cells.toSeq, s"$at, $p")
+      assert(l.mc.vars.map(_.toSeq).toSeq == full.mc.vars.map(_.toSeq).toSeq, s"$at, $p")
+    }
+    repOf.values.groupBy(identity).values.map(_.size).toSeq
+  }
+
+  /** The closure `PlaqueTest.pipeline` builds: of the FDs whose LHS is not a key. */
+  private def nonKeyClosure(inst: Instance, fds: Seq[FD]): Vector[FD] = {
+    val partition = Partition.of(inst)
+    FDs.closure(fds.filterNot(f => partition(f.lhs).key))
+  }
+
+  test("Clauses.classes gives the classes of Clauses.shapes and lowers representatives as index does (1,400 instances)") {
+    var shared = 0
+    for ((name, inst, fds) <- TestGen.pipelineCases)
+      shared += assertClasses(inst, nonKeyClosure(inst, fds), name).count(_ > 1)
+    assert(shared > 500, s"only $shared classes with two or more members")
+  }
+
+  test("Clauses.classes compares signatures of more than 64 FDs on one RHS word for word (20 instances)") {
+    for (seed <- 0 until 20) {
+      // 13 two-valued columns and a constant one: all 78 pairs of the 13
+      // determine it, no single column does, and duplicated rows share classes.
+      val rng = new scala.util.Random(seed)
+      val rows = Vector.fill(6)(Vector.fill(13)(rng.nextInt(2)) :+ 0).flatMap(r => Vector(r, r))
+      val inst = Instance(Vector.tabulate(14)(k => s"A$k"), rows)
+      val closed = nonKeyClosure(inst, (0 until 13).combinations(2).map(c => FD(c.toSet, 13)).toVector)
+      assert(closed.size == 78, s"seed $seed")
+      val sizes = assertClasses(inst, closed, s"seed $seed")
+      assert(sizes.sum == 12 && sizes.forall(_ % 2 == 0), s"seed $seed: $sizes")
+    }
+  }
+
+  test("runExact still refuses echocardiogram at a class's least position, naming its 71-cell union") {
+    val prep = Experiments.prepare(spark, "echocardiogram")
+    val e = intercept[IllegalArgumentException](PlaqueTest.runExact(prep.inst, prep.fds))
+    assert(e.getMessage == "requirement failed: clause-cell union of position Pos(0,4) has 71 cells, " +
+      "more than the 26 exact enumeration allows")
+    val (repOf, reps) = Clauses.classes(prep.inst, nonKeyClosure(prep.inst, prep.fds), Partition.of(prep.inst))
+    assert(repOf(Pos(0, 4)) == Pos(0, 4) && reps(Pos(0, 4)).mc.nVars == 71)
   }
 
   // Seeds 297, 410, 647 and 779 hold classes that a key without the rows
@@ -94,6 +158,7 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     assert(shape(Pos(0, 0), index(Pos(0, 0))) != shape(Pos(2, 0), index(Pos(2, 0))))
     val (exact, classes) = PlaqueTest.byShape(index, 70)(_.map { case (p, mc) => p -> ExactEntropy.viaClauses(p, mc) })
     assert(classes == 2)
+    assert(assertClasses(inst, fds, "70 columns") == Seq(2, 2))
     assert(exact == Map(Pos(0, 0) -> 0.875, Pos(1, 0) -> 0.875, Pos(2, 0) -> 31.0 / 32, Pos(3, 0) -> 31.0 / 32))
     val est = MonteCarlo.estimateSpark(spark, Clauses.forAllPositions(inst, fds), 20000, 5)
     for ((p, e) <- exact) assert(math.abs(est(p) - e) < 0.02, s"at $p: ${est(p)} vs $e")
@@ -103,6 +168,7 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     val counts = Fig3Exp.DatasetNames.map { d =>
       val prep = Experiments.prepare(spark, d)
       val res = PlaqueTest.pipeline(prep.inst, prep.fds, 0L)(_.map { case (p, _) => p -> 0.0 })
+      assert(assertClasses(prep.inst, nonKeyClosure(prep.inst, prep.fds), d).size == res.classes, d)
       (res.nonUnique.size, res.classes)
     }
     assert(counts == Seq((119, 6), (300, 4), (932, 22), (770, 166), (150, 3)))

@@ -59,6 +59,25 @@ object TestGen {
     throw new IllegalStateException(s"no repairable instance for seed $seed")
   }
 
+  /** Random instances with their FDs: 200 narrow and 300 wide (empty LHSs,
+    * constant columns) ones, the wide ones also with duplicate rows and cut
+    * to 0 and 1 rows.
+    */
+  lazy val pipelineCases: Seq[(String, Instance, Vector[FD])] =
+    (0L until 200L).map { seed =>
+      val (inst, fds) = instanceWithFds(seed)
+      (s"narrow seed $seed", inst, fds)
+    } ++ (0L until 300L).flatMap { seed =>
+      val (inst, fds) = instanceWithWideFds(seed)
+      Seq(
+        (s"wide seed $seed", inst, fds),
+        // Duplicates keep I ⊨ F, and no LHS is a key.
+        (s"wide seed $seed, rows doubled", Instance(inst.attrs, inst.rows.flatMap(r => Vector(r, r))), fds),
+        (s"wide seed $seed, 1 row", Instance(inst.attrs, inst.rows.take(1)), fds),
+        (s"wide seed $seed, 0 rows", Instance(inst.attrs, Vector.empty), fds),
+      )
+    }
+
   /** Force each FD's RHS to its group representative, to a fixpoint; the
     * instance if that converges and fulfils the closure.
     */
@@ -287,7 +306,8 @@ object TestGen {
     Instance.encode(dataCols, local.map(r => dataCols.indices.map(i => r.get(i + 1))).toSeq)
   }
 
-  /** The clause-by-clause sampler loop that `MonteCarlo`'s flat 3-cell pass
+  /** The clause-by-clause sampler loop on sequential `SplittableRandom`
+    * draws that `MonteCarlo`'s flat 3-cell pass on random-access words
     * replaced, kept as its oracle: for the same `rng` seed the hit counts
     * must be equal.
     */

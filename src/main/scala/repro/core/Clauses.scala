@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 import repro.core.MonteCarlo.MaskedClauses
 
 /** Witness clauses: the combinatorial core behind Props. 2.9, 3.2 and 3.3.
@@ -17,8 +19,10 @@ import repro.core.MonteCarlo.MaskedClauses
   *
   * Hence `(I_{Q←X})_{p←a} ⊨ F*` iff **every** witness clause contains at
   * least one position of `Q` — a monotone-CNF "hit every clause" condition.
-  * Every estimator reads [[index]]; [[forAllPositions]] is its `Set[Pos]`
-  * view. The equivalence with the literal Definition 2.4 check (a `TestGen`
+  * The plaque pipeline reads [[classes]], which lowers the clauses of class
+  * representatives as [[index]] lowers them; [[forAllPositions]] is the
+  * `Set[Pos]` view of [[index]], and [[representatives]] keys its classes.
+  * The equivalence with the literal Definition 2.4 check (a `TestGen`
   * oracle) is exercised property-style in the test suite.
   */
 object Clauses {
@@ -73,10 +77,10 @@ object Clauses {
     * Dep-Miner: Lopes, Petit, Lakhal, EDBT 2000), and `p`'s class key is
     * `(B, multiset of its witness rows' signatures)`. Signatures are FD-index
     * bitsets of `⌈#FDs with RHS B / 64⌉` words, sorted into one array, and
-    * compared word for word. These are the classes of [[shapes]] on
-    * [[index]], whose keys give the mask pairs of the same clauses row by
-    * row, and the representative is, as there, the class's least
-    * `(row, col)` position. `closedFds` is as for [[index]].
+    * compared word for word. These are the classes of [[representatives]] on
+    * [[forAllPositions]], whose keys give the column pairs of the same
+    * clauses row by row, and the representative is, as there, the class's
+    * least `(row, col)` position. `closedFds` is as for [[index]].
     */
   private[core] def classes(inst: Instance, closedFds: Seq[FD], partition: Set[Int] => Partition)
       : (Map[Pos, Pos], Map[Pos, Lowered]) = {
@@ -92,7 +96,7 @@ object Clauses {
       val groups = w.groups(b)
       val words = (groups.length + 63) / 64
       val sig = new Array[Long](n * words)
-      val first = scala.collection.mutable.HashMap.empty[Shape, Int]
+      val first = scala.collection.mutable.HashMap.empty[ArraySeq[Long], Int]
       for (j <- 0 until n if w.shared(b, j)) {
         id += 1
         var t = 0
@@ -111,7 +115,7 @@ object Clauses {
             k += 1
           }
         }
-        val rep = first.getOrElseUpdate(new Shape(sorted(sig, words, rows, t)), j)
+        val rep = first.getOrElseUpdate(ArraySeq.unsafeWrapArray(sorted(sig, words, rows, t)), j)
         repOf += Pos(j, w.rhs(b)) -> Pos(rep, w.rhs(b))
         if (rep == j) reps += Pos(j, w.rhs(b)) -> w.lower(b, j)
       }
@@ -212,73 +216,25 @@ object Clauses {
     Lowered(MaskedClauses(number.size, vars), cells.result())
   }
 
-  /** A clause shape, or a part of one, compared element for element: no
-    * hash decides equality.
-    */
-  private[core] final class Shape(private val words: Array[Long]) {
-    override def equals(o: Any): Boolean = o match {
-      case s: Shape => java.util.Arrays.equals(words, s.words)
-      case _ => false
-    }
-    override def hashCode: Int = java.util.Arrays.hashCode(words)
-  }
-
-  /** The clause shape of a position `p` with lowered clauses over `arity`
-    * columns: for each row other than `p.row`, the sorted list of `(columns
-    * in p.row, columns in that row)` masks of the clauses that touch it,
-    * `⌈arity / 64⌉` words per mask, and these per-row lists as a canonical
-    * multiset (the agree-set signatures with multiplicities of Dep-Miner,
-    * Lopes, Petit, Lakhal, EDBT 2000). Positions with equal shapes have clause
+  /** Each position's class representative among clause sets over
+    * positions: the least `(row, col)` position with the same content key.
+    * The key of `p` is, over the rows other than `p.row`, the multiset of the
+    * per-row multisets of `(columns in p.row, columns in that row)` of the
+    * clauses that touch the row (the agree-set signatures with multiplicities
+    * of Dep-Miner, Lopes, Petit, Lakhal, EDBT 2000). Equal keys give clause
     * sets that a relabeling of rows fixing the columns maps onto each other,
     * so equal `INF` values (§3.1) and equally distributed MC estimates
-    * (Thm. 3.6). `None` if a clause touches no row or two rows besides
-    * `p.row`: witness clauses never do, and such a position is a class of
-    * its own.
-    *
-    * The returned function numbers each distinct mask pair and each distinct
-    * per-row list in one table, so that the sorts run on primitive ids; its
-    * shapes compare only with shapes from the same function.
+    * (Thm. 3.6). A position with a clause that touches no other row, or more
+    * than one, is a class of its own: witness clauses never do.
     */
-  private[core] def shapes(arity: Int): (Pos, Lowered) => Option[Shape] = {
-    val w = (arity + 63) / 64
-    val ids = scala.collection.mutable.HashMap.empty[Shape, Long]
-    def id(words: Array[Long]): Long = ids.getOrElseUpdate(new Shape(words), ids.size.toLong)
-    // Clause `c` of `p`: its other row in the high half and the id of its
-    // mask pair in the low half, or -1 if it touches no row or two rows besides p.row.
-    def entry(p: Pos, l: Lowered, c: Array[Int]): Long = {
-      val masks = new Array[Long](2 * w)
-      var other = -1
-      var k = 0
-      while (k < c.length) {
-        val row = l.cells(c(k)) / arity
-        val col = l.cells(c(k)) % arity
-        if (row == p.row) masks(col / 64) |= 1L << col
-        else if (other == -1 || other == row) { other = row; masks(w + col / 64) |= 1L << col }
-        else return -1L
-        k += 1
-      }
-      if (other == -1) -1L else other.toLong << 32 | id(masks)
+  private[core] def representatives(clausesByPos: Map[Pos, Seq[Set[Pos]]]): Map[Pos, Pos] = {
+    def multiset[A](xs: Iterable[A]): Map[A, Int] = xs.groupMapReduce(identity)(_ => 1)(_ + _)
+    def key(p: Pos) = {
+      val split = clausesByPos(p).map(_.partition(_.row == p.row))
+      Option.when(split.forall(_._2.map(_.row).size == 1))(multiset(split.groupBy(_._2.head.row).values.map(cs =>
+        multiset(cs.map { case (own, other) => (own.map(_.col), other.map(_.col)) }))))
     }
-    (p, l) => {
-      val clauses = l.mc.vars
-      val byRow = new Array[Long](clauses.length)
-      var i = 0
-      while (i < clauses.length && { byRow(i) = entry(p, l, clauses(i)); byRow(i) >= 0 }) i += 1
-      if (i < clauses.length) None
-      else {
-        java.util.Arrays.sort(byRow)
-        val rows = Array.newBuilder[Long]
-        var from = 0
-        while (from < byRow.length) {
-          var until = from + 1
-          while (until < byRow.length && byRow(until) >>> 32 == byRow(from) >>> 32) until += 1
-          rows += id(byRow.slice(from, until).map(_ & 0xffffffffL))
-          from = until
-        }
-        val key = rows.result()
-        java.util.Arrays.sort(key)
-        Some(new Shape(key))
-      }
-    }
+    val sorted = clausesByPos.keys.toSeq.sortBy(p => (p.row, p.col))
+    sorted.groupBy(p => key(p).toRight(p)).values.flatMap(ps => ps.map(_ -> ps.head)).toMap
   }
 }

@@ -162,10 +162,11 @@ object MonteCarlo {
     PlaqueTest.pipeline(inst, fds, iters)(sample(_, iters, seed, 1)).byPosition
   }
 
-  /** MC entropy estimates for the given positions: each clause set lowered
-    * as [[mask]] lowers it, grouped by clause shape and sampled as
-    * `PlaqueTest.run` samples `Clauses.index`. A position with a clause that
-    * touches no row or two rows besides its own is estimated on its own.
+  /** MC entropy estimates for the given positions: grouped into classes by
+    * `Clauses.representatives`, whose representatives get their clause sets
+    * lowered as [[mask]] lowers them and sampled as `PlaqueTest.run` samples
+    * its class representatives. A position with a clause that touches no row
+    * or two rows besides its own is estimated on its own.
     *
     * @return per-position estimates for exactly the keys of `clausesByPos`
     */
@@ -176,8 +177,8 @@ object MonteCarlo {
       seed: Long = 42,
   ): Map[Pos, Double] = {
     val m = arity(clausesByPos.keysIterator ++ clausesByPos.valuesIterator.flatMap(_.iterator.flatten))
-    val lowered = clausesByPos.map { case (p, cls) => p -> Clauses.lower(cls, m) }
-    PlaqueTest.byShape(lowered, m)(sample(_, iters, seed, workers(spark)))._1
+    PlaqueTest.spread(Clauses.representatives(clausesByPos), p => Clauses.lower(clausesByPos(p), m))(
+      sample(_, iters, seed, workers(spark)))
   }
 
   /** Sampler threads for a session: `defaultParallelism`, at most one per processor. */

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.VectorMap
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** End-to-end "plaque test": per-cell entropy matrix for a relation instance
@@ -107,8 +109,8 @@ object PlaqueTest {
 
   /** Run the plaque test with *exact* clause-based entropies. Only class
     * representatives are enumerated, so a class whose clause-cell union
-    * exceeds 26 cells is an `IllegalArgumentException` naming the union size
-    * and the class's least position.
+    * exceeds 26 cells is an `IllegalArgumentException` naming the least such
+    * representative (a class's least position) and its union size.
     */
   def runExact(inst: Instance, fds: Seq[FD]): Result =
     pipeline(inst, fds, 0L)(_.map { case (p, mc) => p -> ExactEntropy.viaClauses(p, mc) })
@@ -133,8 +135,8 @@ object PlaqueTest {
     * witness clauses (§3.1) of each class's least `(row, col)` position only,
     * estimate those, copy each value to its class, and set `INF = 1`
     * elsewhere (Prop. 3.2).
-    * `estimate` receives only non-empty clause sets and must return a value
-    * for each of its keys.
+    * `estimate` receives only non-empty clause sets, in ascending `(row, col)`
+    * order, and must return a value for each of its keys.
     *
     * The clause reformulation assumes `I ⊨ F` (hence `I ⊨ F*`), so an FD
     * that does not hold is rejected ([[FDs.requireHolds]]).
@@ -159,31 +161,15 @@ object PlaqueTest {
     Result(inst, matrix, below.keySet, reps.size, closed, iterations)
   }
 
-  /** Estimates each clause shape of arbitrary lowered clause sets once
-    * (`Clauses.shapes`, which [[pipeline]]'s `Clauses.classes` reproduces
-    * from the partitions): the class's least `(row, col)` position is its
-    * representative, and a position with a clause that touches no row or two
-    * rows besides its own is a class of its own. Returns the values of all
-    * keys of `lowered` and the number of classes.
-    */
-  private[core] def byShape(lowered: Map[Pos, Clauses.Lowered], arity: Int)(
-      estimate: Map[Pos, MonteCarlo.MaskedClauses] => Map[Pos, Double]): (Map[Pos, Double], Int) = {
-    val shape = Clauses.shapes(arity)
-    val reps = scala.collection.mutable.HashMap.empty[Clauses.Shape, Pos]
-    val repOf = lowered.keys.toArray.sortBy(p => (p.row, p.col)).map { p =>
-      p -> shape(p, lowered(p)).fold(p)(reps.getOrElseUpdate(_, p))
-    }
-    val classes = repOf.collect { case (p, rep) if p == rep => p -> lowered(p) }.toMap
-    (spread(repOf.toMap, classes)(estimate), classes.size)
-  }
-
   /** `estimate` gets one representative per class with its own clauses
-    * (`INF` and the law of its MC estimate depend only on the shape), and
-    * every member of `repOf` gets its representative's value.
+    * (`lowered`, read for representatives only), in ascending `(row, col)`
+    * order (`INF` and the law of its MC estimate depend only on the shape),
+    * and every member of `repOf` gets its representative's value.
     */
-  private def spread(repOf: Map[Pos, Pos], reps: Map[Pos, Clauses.Lowered])(
+  private[core] def spread(repOf: Map[Pos, Pos], lowered: Pos => Clauses.Lowered)(
       estimate: Map[Pos, MonteCarlo.MaskedClauses] => Map[Pos, Double]): Map[Pos, Double] = {
-    val values = estimate(reps.map { case (p, l) => p -> l.mc })
+    val reps = repOf.valuesIterator.distinct.toSeq.sortBy(p => (p.row, p.col))
+    val values = estimate(VectorMap.from(reps.map(p => p -> lowered(p).mc)))
     repOf.map { case (p, rep) => p -> values(rep) }
   }
 }

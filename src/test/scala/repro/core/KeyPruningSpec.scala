@@ -22,7 +22,9 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
   private def fullClosure(inst: Instance, fds: Seq[FD])(
       estimate: Map[Pos, MonteCarlo.MaskedClauses] => Map[Pos, Double]): Vector[Vector[Double]] = {
     FDs.requireHolds(inst, fds)
-    val (below, _) = PlaqueTest.byShape(Clauses.index(inst, FDs.closure(fds)), inst.arity)(estimate)
+    val index = Clauses.index(inst, FDs.closure(fds))
+    val repOf = Clauses.representatives(index.map { case (p, l) => p -> l.clauses(inst.arity) })
+    val below = PlaqueTest.spread(repOf, index)(estimate)
     Vector.tabulate(inst.nRows, inst.arity)((j, k) => below.getOrElse(Pos(j, k), 1.0))
   }
 

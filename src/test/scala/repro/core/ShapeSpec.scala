@@ -1,14 +1,18 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.SparkSpec
 import repro.exp.{Experiments, Fig3Exp}
 
-/** Clause shapes (`Clauses.shapes`), the classes that `Clauses.classes`
-  * keys off the partitions, and the per-shape estimates: equal shapes must
-  * mean equal exact values, both keys must give the same classes, and every
-  * estimator gives a class's members the value its representative gets alone.
+/** Clause shapes (the `TestGen.shapes` oracle), the classes that
+  * `Clauses.classes` keys off the partitions and `Clauses.representatives`
+  * off clauses over positions, and the per-shape estimates: equal shapes must
+  * mean equal exact values, all three keys must give the same classes, and
+  * every estimator gives a class's members the value its representative gets
+  * alone.
   */
 class ShapeSpec extends AnyFunSuite with SparkSpec {
 
@@ -16,21 +20,21 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
   private def classes(inst: Instance, fds: Seq[FD]): (Map[Pos, Clauses.Lowered], Seq[Vector[Pos]]) = {
     val index = Clauses.index(inst, FDs.closure(fds))
     val sorted = index.keys.toVector.sortBy(p => (p.row, p.col))
-    val shape = Clauses.shapes(inst.arity)
+    val shape = TestGen.shapes(inst.arity)
     val byKey = sorted.groupBy(p => shape(p, index(p)).toRight(p))
     (index, byKey.values.map(_.sortBy(p => (p.row, p.col))).toSeq)
   }
 
-  /** Each non-unique position's representative under `Clauses.shapes` on
-    * the full index: the least `(row, col)` position of its class.
+  /** Each position's representative under `TestGen.shapes` on lowered
+    * clauses over `arity` columns: the least `(row, col)` position of its class.
     */
-  private def shapeReps(index: Map[Pos, Clauses.Lowered], arity: Int): Map[Pos, Pos] = {
-    val shape = Clauses.shapes(arity)
-    val first = scala.collection.mutable.HashMap.empty[Clauses.Shape, Pos]
-    index.keys.toVector.sortBy(p => (p.row, p.col)).map(p => p -> shape(p, index(p)).fold(p)(first.getOrElseUpdate(_, p))).toMap
+  private def shapeReps(lowered: Map[Pos, Clauses.Lowered], arity: Int): Map[Pos, Pos] = {
+    val shape = TestGen.shapes(arity)
+    val first = scala.collection.mutable.HashMap.empty[ArraySeq[Long], Pos]
+    lowered.keys.toVector.sortBy(p => (p.row, p.col)).map(p => p -> shape(p, lowered(p)).fold(p)(first.getOrElseUpdate(_, p))).toMap
   }
 
-  /** `Clauses.classes` against the `Clauses.shapes` oracle: the same
+  /** `Clauses.classes` against the `TestGen.shapes` oracle: the same
     * representative for every position, and each representative lowered
     * element for element as `Clauses.index` lowers it. Returns the classes'
     * sizes.
@@ -54,11 +58,57 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     FDs.closure(fds.filterNot(f => partition(f.lhs).key))
   }
 
-  test("Clauses.classes gives the classes of Clauses.shapes and lowers representatives as index does (1,400 instances)") {
+  test("Clauses.classes gives the classes of TestGen.shapes and lowers representatives as index does (1,400 instances)") {
     var shared = 0
     for ((name, inst, fds) <- TestGen.pipelineCases)
       shared += assertClasses(inst, nonKeyClosure(inst, fds), name).count(_ > 1)
     assert(shared > 500, s"only $shared classes with two or more members")
+  }
+
+  test("Clauses.representatives gives the representatives of TestGen.shapes on forAllPositions (1,400 instances)") {
+    var shared = 0
+    for ((name, inst, fds) <- TestGen.pipelineCases) {
+      val closed = nonKeyClosure(inst, fds)
+      val repOf = Clauses.representatives(Clauses.forAllPositions(inst, closed))
+      assert(repOf == shapeReps(Clauses.index(inst, closed), inst.arity), name)
+      shared += repOf.values.groupBy(identity).count(_._2.size > 1)
+    }
+    assert(shared > 500, s"only $shared classes with two or more members")
+  }
+
+  test("Clauses.representatives equals TestGen.shapes on clauses over two rows or none, repeated and empty clauses, no clauses and columns 64 and up") {
+    // Clause of row j: columns `own` in row j, columns `other` in row w.
+    def c(j: Int, own: Seq[Int], w: Int, other: Seq[Int]): Set[Pos] = (own.map(Pos(j, _)) ++ other.map(Pos(w, _))).toSet
+    val clauses: Map[Pos, Seq[Set[Pos]]] = Map(
+      // A clause over two other rows, or over none: a class of its own.
+      Pos(0, 0) -> Vector(Set(Pos(1, 0), Pos(2, 0))),
+      Pos(3, 0) -> Vector(Set(Pos(4, 0), Pos(5, 0))),
+      Pos(6, 0) -> Vector(Set(Pos(6, 1))),
+      Pos(7, 0) -> Vector(Set(Pos(7, 1))),
+      // An empty clause is over no other row; no clause at all is one class.
+      Pos(8, 0) -> Vector(Set.empty[Pos]),
+      Pos(9, 0) -> Vector(Set.empty[Pos]),
+      Pos(10, 0) -> Vector.empty,
+      Pos(11, 2) -> Vector.empty,
+      // A repeated clause counts twice; the witness row may lie above or below.
+      Pos(12, 0) -> Vector(c(12, Seq(1), 13, Seq(0, 1)), c(12, Seq(1), 13, Seq(0, 1))),
+      Pos(14, 0) -> Vector(c(14, Seq(1), 15, Seq(0, 1))),
+      Pos(17, 0) -> Vector(c(17, Seq(1), 16, Seq(0, 1))),
+      Pos(18, 0) -> Vector(c(18, Seq(1), 19, Seq(0, 1)), c(18, Seq(1), 19, Seq(0, 1))),
+      // Two witness rows with one signature: a multiset over rows, not a set.
+      Pos(20, 0) -> Vector(c(20, Seq(1), 21, Seq(0, 1)), c(20, Seq(1), 22, Seq(0, 1))),
+      // The same two clauses on one witness row or on two.
+      Pos(23, 0) -> Vector(c(23, Seq(1), 24, Seq(0, 1)), c(23, Seq(2), 24, Seq(0, 2))),
+      Pos(25, 0) -> Vector(c(25, Seq(1), 26, Seq(0, 1)), c(25, Seq(2), 27, Seq(0, 2))),
+      // Columns 64 and up.
+      Pos(28, 0) -> Vector(c(28, Seq(64), 29, Seq(0, 64))),
+      Pos(30, 0) -> Vector(c(30, Seq(65), 31, Seq(0, 65))),
+      Pos(32, 0) -> Vector(c(32, Seq(64), 33, Seq(0, 64))),
+    )
+    val repOf = Clauses.representatives(clauses)
+    assert(repOf == shapeReps(clauses.map { case (p, cls) => p -> Clauses.lower(cls, 66) }, 66))
+    val merged = Map(Pos(11, 2) -> Pos(10, 0), Pos(18, 0) -> Pos(12, 0), Pos(17, 0) -> Pos(14, 0), Pos(32, 0) -> Pos(28, 0))
+    assert(repOf == clauses.keys.map(p => p -> merged.getOrElse(p, p)).toMap)
   }
 
   test("Clauses.classes compares signatures of more than 64 FDs on one RHS word for word (20 instances)") {
@@ -75,13 +125,14 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  test("runExact still refuses echocardiogram at a class's least position, naming its 71-cell union") {
+  test("runExact refuses echocardiogram at the least of its 18 class representatives over 26 cells") {
     val prep = Experiments.prepare(spark, "echocardiogram")
     val e = intercept[IllegalArgumentException](PlaqueTest.runExact(prep.inst, prep.fds))
-    assert(e.getMessage == "requirement failed: clause-cell union of position Pos(0,4) has 71 cells, " +
+    assert(e.getMessage == "requirement failed: clause-cell union of position Pos(0,0) has 249 cells, " +
       "more than the 26 exact enumeration allows")
-    val (repOf, reps) = Clauses.classes(prep.inst, nonKeyClosure(prep.inst, prep.fds), Partition.of(prep.inst))
-    assert(repOf(Pos(0, 4)) == Pos(0, 4) && reps(Pos(0, 4)).mc.nVars == 71)
+    val (_, reps) = Clauses.classes(prep.inst, nonKeyClosure(prep.inst, prep.fds), Partition.of(prep.inst))
+    val over = reps.filter(_._2.mc.nVars > 26).keys.toSeq.sortBy(p => (p.row, p.col))
+    assert(over.size == 18 && over.head == Pos(0, 0) && reps(Pos(0, 0)).mc.nVars == 249)
   }
 
   // Seeds 297, 410, 647 and 779 hold classes that a key without the rows
@@ -154,10 +205,12 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     // Already closed; `FDs.closure` itself takes column indices below 64 only.
     val fds = Vector(FD(Set(64), 0), FD(Set(65, 66), 0))
     val index = Clauses.index(inst, fds)
-    val shape = Clauses.shapes(70)
+    val shape = TestGen.shapes(70)
     assert(shape(Pos(0, 0), index(Pos(0, 0))) != shape(Pos(2, 0), index(Pos(2, 0))))
-    val (exact, classes) = PlaqueTest.byShape(index, 70)(_.map { case (p, mc) => p -> ExactEntropy.viaClauses(p, mc) })
-    assert(classes == 2)
+    val repOf = Clauses.representatives(Clauses.forAllPositions(inst, fds))
+    assert(repOf == shapeReps(index, 70))
+    assert(repOf.values.toSet == Set(Pos(0, 0), Pos(2, 0)))
+    val exact = PlaqueTest.spread(repOf, index)(_.map { case (p, mc) => p -> ExactEntropy.viaClauses(p, mc) })
     assert(assertClasses(inst, fds, "70 columns") == Seq(2, 2))
     assert(exact == Map(Pos(0, 0) -> 0.875, Pos(1, 0) -> 0.875, Pos(2, 0) -> 31.0 / 32, Pos(3, 0) -> 31.0 / 32))
     val est = MonteCarlo.estimateSpark(spark, Clauses.forAllPositions(inst, fds), 20000, 5)

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 
+import scala.collection.immutable.ArraySeq
 import scala.util.Random
 
 /** Deterministic random generators for property-style tests: small instances
@@ -323,6 +324,62 @@ object TestGen {
       left -= 64
     }
     total
+  }
+
+  /** The per-clause mask key that `Clauses.classes` (on the partitions) and
+    * `Clauses.representatives` (on clauses over positions) replaced, kept as
+    * the oracle of both: the clause shape of a position `p` with lowered
+    * clauses over `arity` columns. For each row other than `p.row`, the
+    * sorted list of `(columns in p.row, columns in that row)` masks of the
+    * clauses that touch it, `⌈arity / 64⌉` words per mask, and these per-row
+    * lists as a canonical multiset. `None` if a clause touches no row or two
+    * rows besides `p.row`: such a position is a class of its own.
+    *
+    * The returned function numbers each distinct mask pair and each distinct
+    * per-row list in one table, so that the sorts run on primitive ids; its
+    * shapes compare only with shapes from the same function.
+    */
+  def shapes(arity: Int): (Pos, Clauses.Lowered) => Option[ArraySeq[Long]] = {
+    val w = (arity + 63) / 64
+    val ids = scala.collection.mutable.HashMap.empty[ArraySeq[Long], Long]
+    def id(words: Array[Long]): Long = ids.getOrElseUpdate(ArraySeq.unsafeWrapArray(words), ids.size.toLong)
+    // Clause `c` of `p`: its other row in the high half and the id of its
+    // mask pair in the low half, or -1 if it touches no row or two rows besides p.row.
+    def entry(p: Pos, l: Clauses.Lowered, c: Array[Int]): Long = {
+      val masks = new Array[Long](2 * w)
+      var other = -1
+      var k = 0
+      while (k < c.length) {
+        val row = l.cells(c(k)) / arity
+        val col = l.cells(c(k)) % arity
+        if (row == p.row) masks(col / 64) |= 1L << col
+        else if (other == -1 || other == row) { other = row; masks(w + col / 64) |= 1L << col }
+        else return -1L
+        k += 1
+      }
+      if (other == -1) -1L else other.toLong << 32 | id(masks)
+    }
+    (p, l) => {
+      val clauses = l.mc.vars
+      val byRow = new Array[Long](clauses.length)
+      var i = 0
+      while (i < clauses.length && { byRow(i) = entry(p, l, clauses(i)); byRow(i) >= 0 }) i += 1
+      if (i < clauses.length) None
+      else {
+        java.util.Arrays.sort(byRow)
+        val rows = Array.newBuilder[Long]
+        var from = 0
+        while (from < byRow.length) {
+          var until = from + 1
+          while (until < byRow.length && byRow(until) >>> 32 == byRow(from) >>> 32) until += 1
+          rows += id(byRow.slice(from, until).map(_ & 0xffffffffL))
+          from = until
+        }
+        val key = rows.result()
+        java.util.Arrays.sort(key)
+        Some(ArraySeq.unsafeWrapArray(key))
+      }
+    }
   }
 
   /** A random subset of positions excluding `p`. */

@@ -5,13 +5,16 @@
 #
 #   scripts/ab-pairs.sh <parent-rev> <workload> <pairs> <first-seed> [claimed-metric]
 #
-# Exports <parent-rev> with `git archive` into a temporary directory (removed
-# on exit; $TMPDIR picks its place) and runs `python3 perfbench/run.py
-# --workload <workload> --seed <s> --seconds <n> --trace 0` there and in the
-# working tree, <pairs> times. Pair i uses seed <first-seed> + i on both
-# sides; even pairs run the parent first, odd pairs the working tree first.
-# <n> is BENCHMARK.json's run_seconds. Each side builds its own harness on its
-# first run (perfbench/target, ignored by git).
+# Exports <parent-rev> with `git archive` and the working tree (its tracked
+# and untracked files that git does not ignore, without the deleted ones) into
+# two sibling fresh directories under one temporary directory (removed on
+# exit; $TMPDIR picks its place), so that both sides build and run from a
+# fresh copy and neither from the checkout. Runs `python3 perfbench/run.py
+# --workload <workload> --seed <s> --seconds <n> --trace 0` in each, <pairs>
+# times. Pair i uses seed <first-seed> + i on both sides; even pairs run the
+# parent first, odd pairs the working tree first. <n> is BENCHMARK.json's
+# run_seconds. Each side builds its own harness on its first run
+# (perfbench/target).
 #
 # Prints every run, then for each end-to-end metric of BENCHMARK.json each
 # side's median [first quartile, third quartile] and how many pairs the
@@ -40,10 +43,13 @@ sys.exit(sys.argv[1] not in [m["name"] for m in json.load(open("BENCHMARK.json")
 fi
 
 tmp=$(mktemp -d)
-parent="$tmp/parent"
+parent="$tmp/parent" change="$tmp/change"
 trap 'rm -rf "$tmp"' EXIT
-mkdir "$parent"
+mkdir "$parent" "$change"
 git archive "$rev" | tar -x -C "$parent"
+git ls-files -z --cached --others --exclude-standard |
+  while IFS= read -r -d '' f; do if [ -e "$f" ] || [ -L "$f" ]; then printf '%s\0' "$f"; fi; done |
+  tar --null -T - -c | tar -x -C "$change"
 
 # run <side> <dir> <seed>: one benchmark run; its JSON result goes to $tmp/<side>.jsonl.
 run() {
@@ -58,9 +64,9 @@ run() {
 for ((i = 0; i < pairs; i++)); do
   seed=$((first + i))
   if ((i % 2 == 0)); then
-    run parent "$parent" "$seed"; run change "$root" "$seed"
+    run parent "$parent" "$seed"; run change "$change" "$seed"
   else
-    run change "$root" "$seed"; run parent "$parent" "$seed"
+    run change "$change" "$seed"; run parent "$parent" "$seed"
   fi
 done
 

@@ -6,12 +6,15 @@
 #
 #   scripts/trace-pair.sh <parent-rev> <workload> <seed>
 #
-# Exports <parent-rev> with `git archive` into a temporary directory (removed
-# on exit; $TMPDIR picks its place), as scripts/ab-pairs.sh does, and runs
+# Exports <parent-rev> with `git archive` and the working tree (its tracked
+# and untracked files that git does not ignore, without the deleted ones) into
+# two sibling fresh directories under one temporary directory (removed on
+# exit; $TMPDIR picks its place), as scripts/ab-pairs.sh does, so that both
+# sides build and run from a fresh copy and neither from the checkout. Runs
 # `python3 perfbench/run.py --workload <workload> --seed <seed> --seconds <n>
-# --trace 1` there and then in the working tree. <n> is BENCHMARK.json's
-# run_seconds. Each side builds its own harness on its first run
-# (perfbench/target, ignored by git).
+# --trace 1` in the parent's copy and then in the working tree's. <n> is
+# BENCHMARK.json's run_seconds. Each side builds its own harness
+# (perfbench/target).
 #
 # Prints every per-layer metric of BENCHMARK.json as `parent -> change`, then
 # each side's failed checks (the `misses` of its run record, e.g. a
@@ -29,10 +32,13 @@ cd "$root"
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 
 tmp=$(mktemp -d)
-parent="$tmp/parent"
+parent="$tmp/parent" change="$tmp/change"
 trap 'rm -rf "$tmp"' EXIT
-mkdir "$parent"
+mkdir "$parent" "$change"
 git archive "$rev" | tar -x -C "$parent"
+git ls-files -z --cached --others --exclude-standard |
+  while IFS= read -r -d '' f; do if [ -e "$f" ] || [ -L "$f" ]; then printf '%s\0' "$f"; fi; done |
+  tar --null -T - -c | tar -x -C "$change"
 
 # run <side> <dir>: one traced run; its run record goes to $tmp/<side>.json.
 run() {
@@ -42,7 +48,7 @@ run() {
   cp "$dir/perfbench/target/runs/$workload-seed$seed-trace1.json" "$tmp/$side.json"
 }
 run parent "$parent"
-run change "$root"
+run change "$change"
 
 python3 - "$tmp" "$rev" "$workload" "$seed" <<'EOF'
 import json, sys

@@ -57,10 +57,8 @@ object Clauses {
     * per-RHS antichain rules out. Other FD sets may yield a superset clause,
     * which never changes `X(Q)`.
     */
-  def index(inst: Instance, closedFds: Seq[FD]): Map[Pos, Lowered] = index(inst, closedFds, Partition.of(inst))
-
-  private[core] def index(inst: Instance, closedFds: Seq[FD], partition: Set[Int] => Partition): Map[Pos, Lowered] = {
-    val w = new Witnesses(inst, closedFds, partition)
+  def index(inst: Instance, closedFds: Seq[FD]): Map[Pos, Lowered] = {
+    val w = new Witnesses(inst, closedFds, Partition.of(inst))
     val out = Map.newBuilder[Pos, Lowered]
     for (b <- w.rhs.indices; j <- 0 until inst.nRows if w.shared(b, j)) out += Pos(j, w.rhs(b)) -> w.lower(b, j)
     out.result()

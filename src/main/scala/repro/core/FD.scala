@@ -32,14 +32,8 @@ object FDs {
   /** Parse name-level FDs against an attribute list. */
   def byName(attrs: Seq[String], fds: Seq[(Seq[String], String)]): Vector[FD] =
     fds.map { case (l, r) =>
-      FD(l.map(a => indexOf(attrs, a)).toSet, indexOf(attrs, r))
+      FD(l.map(Instance.attrIndex(attrs, _)).toSet, Instance.attrIndex(attrs, r))
     }.toVector
-
-  private def indexOf(attrs: Seq[String], a: String): Int = {
-    val i = attrs.indexOf(a)
-    require(i >= 0, s"unknown attribute '$a' (have: ${attrs.mkString(", ")})")
-    i
-  }
 
   /** Two row ids that agree on `fd`'s LHS and differ on its RHS, or `None`
     * if `fd` holds in `inst` (Definition 2.3): `(i, j)` for the least row `j`

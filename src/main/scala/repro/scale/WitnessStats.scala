@@ -2,8 +2,7 @@ package repro.scale
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-
-import repro.SynthData
+import org.apache.spark.sql.types.{DateType, DoubleType, IntegerType, LongType}
 
 /** Distributed redundancy profiling at data scale.
   *
@@ -12,10 +11,19 @@ import repro.SynthData
   * building block that dominates that scaling — the per-FD duplicate-group
   * scan behind Prop. 3.2 (which cells can carry plaque at all, and how many
   * witnesses each has) — as Spark `groupBy`/`agg` dataflows over TPC-H-lite
-  * data from [[repro.SynthData]] at SF 0.1, i.e. millions of cells instead of
-  * hundreds.
+  * data at SF 0.1, i.e. millions of cells instead of hundreds.
   */
 object WitnessStats {
+
+  // Rows per unit of scale factor, as in TPC-H (SF 1 ≈ 1 GB across tables).
+  private val NLineitemPerSf = 6_000_000L
+  private val NOrdersPerSf   = 1_500_000L
+  private val NCustomerPerSf =   150_000L
+
+  private def n(perSf: Long, sf: Double): Long = math.max(1L, (perSf * sf).toLong)
+
+  // Each column draws from its own fixed `rand(seed + k)`, so a column's
+  // values do not depend on which other columns are generated.
 
   /** Per-FD redundancy profile of `df`:
     *
@@ -55,18 +63,28 @@ object WitnessStats {
   /** TPC-H-lite orders with a planted low-cardinality FD target: `o_region`
     * is derived from `o_custkey`, so `o_custkey -> o_region` holds and every
     * customer with ≥ 2 orders contributes redundant region cells — the
-    * denormalisation pattern the plaque test is built to expose.
+    * denormalisation pattern the plaque test is built to expose. Like
+    * [[lineitemDenorm]], it is deterministic in `(sf, seed)` and generates
+    * only the columns the scan reads.
     */
   def ordersWithRegion(spark: SparkSession, sf: Double, seed: Long = 1): DataFrame =
-    SynthData.orders(spark, sf, seed).withColumn("o_region", pmod(col("o_custkey"), lit(25)))
+    spark.range(1, n(NOrdersPerSf, sf) + 1).toDF("o_orderkey").select(
+      col("o_orderkey"),
+      (rand(seed) * n(NCustomerPerSf, sf) + 1).cast(LongType) as "o_custkey",
+      date_add(lit("1992-01-01").cast(DateType), (rand(seed + 3) * 2406).cast("int")) as "o_orderdate",
+    ).withColumn("o_region", pmod(col("o_custkey"), lit(25)))
 
   /** Denormalised lineitem ⋈ orders: order-level attributes are repeated per
     * line item, i.e. `l_orderkey -> {o_custkey, o_orderdate, o_region}` hold
     * with one witness per extra line item of the order.
     */
   def lineitemDenorm(spark: SparkSession, sf: Double, seed: Long = 0): DataFrame = {
-    val li = SynthData.lineitem(spark, sf, seed).select("l_orderkey", "l_linenumber", "l_quantity")
-    val ord = ordersWithRegion(spark, sf).select("o_orderkey", "o_custkey", "o_orderdate", "o_region")
+    val li = spark.range(n(NLineitemPerSf, sf)).select(
+      (rand(seed) * n(NOrdersPerSf, sf) + 1).cast(LongType) as "l_orderkey",
+      (rand(seed + 2) * 7 + 1).cast(IntegerType)            as "l_linenumber",
+      (rand(seed + 3) * 50 + 1).cast(DoubleType)            as "l_quantity",
+    )
+    val ord = ordersWithRegion(spark, sf)
     li.join(ord, li("l_orderkey") === ord("o_orderkey")).drop("o_orderkey")
   }
 

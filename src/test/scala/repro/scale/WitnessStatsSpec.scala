@@ -9,6 +9,16 @@ class WitnessStatsSpec extends AnyFunSuite with SparkSpec {
   // Small scale for correctness; the bench runs SF 0.1.
   private lazy val denorm = WitnessStats.lineitemDenorm(spark, sf = 0.002).cache()
 
+  test("the join has the six scanned columns, one order per line item and o_region = o_custkey mod 25") {
+    assert(denorm.columns.toSeq ==
+      Seq("l_orderkey", "l_linenumber", "l_quantity", "o_custkey", "o_orderdate", "o_region"))
+    // Order keys are unique, so 12,000 joined rows (all line items at SF 0.002) is one order each.
+    val orders = WitnessStats.ordersWithRegion(spark, 0.002)
+    assert(orders.select("o_orderkey").distinct().count() == orders.count())
+    assert(denorm.count() == 12000L)
+    assert(denorm.where("o_region <> o_custkey % 25").count() == 0L)
+  }
+
   test("planted FDs hold on the denormalised join") {
     val prof = WitnessStats.profile(spark, denorm, WitnessStats.denormFds).collect()
     assert(prof.length == WitnessStats.denormFds.size)

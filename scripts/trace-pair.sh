@@ -17,9 +17,10 @@
 # (perfbench/target).
 #
 # Prints every per-layer metric of BENCHMARK.json as `parent -> change`, then
-# each side's failed checks (the `misses` of its run record, e.g. a
-# `trace_replica.<mimic>` check whose traced decomposition disagrees with
-# PlaqueTest.run) and its failed / attempted op counts.
+# each side's failed / attempted op counts, the traced checks it ran (the
+# `trace_*` and `scan.*` ops of its run record) and its failed checks (the
+# `misses`, e.g. a `trace_replica.<mimic>` check whose traced decomposition
+# disagrees with PlaqueTest.run).
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
@@ -65,7 +66,8 @@ for m in declared:
 for side in ("parent", "change"):
     res = rec[side]["result"]
     print(f"{side}: {res['failed']} of {res['attempted']} ops failed, correct {res['correct']}")
-    print(f"  traced checks run: {', '.join(sorted(l for l in rec[side]['op_ms'] if l.startswith('trace_')))}")
+    checks = sorted(l for l in rec[side]["op_ms"] if l.startswith(("trace_", "scan.")))
+    print(f"  traced checks run: {', '.join(checks)}")
     for miss in rec[side]["misses"]:
         print(f"  failed check {miss}")
 EOF

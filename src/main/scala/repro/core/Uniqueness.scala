@@ -9,10 +9,10 @@ import org.apache.spark.sql.functions._
   * `L→B` — then its entropy need not be computed at all.
   *
   * Locally [[nonUniquePositions]] reads one [[Partition]] per FD. Over
-  * DataFrames, [[nonUniqueDF]] finds them with a window `count` per FD LHS —
-  * the groupBy/aggregate redundancy scan that scales past driver memory. The
-  * two are cross-checked against each other and against the DuckDB oracle in
-  * the test suite.
+  * DataFrames, [[nonUniqueDF]] finds them with one window `count` per distinct
+  * LHS, all in one pass — the redundancy scan that scales past driver memory.
+  * The two are cross-checked against each other and against the DuckDB oracle
+  * in the test suite.
   */
 object Uniqueness {
 
@@ -27,25 +27,26 @@ object Uniqueness {
 
   /** Distributed variant: returns a DataFrame `(idCol, attr)` listing every
     * non-unique position of `df` (tuples identified by `idCol`) w.r.t. the
-    * name-level FDs. One window-count scan per FD; Spark shares shuffles
-    * across FDs with a common LHS. An empty-LHS FD `∅ → B` puts all rows in
-    * one group, so it is decided by one row count instead of a window over a
-    * single partition: every row is non-unique iff there are at least two.
+    * name-level FDs, in one pass over `df` with one window count per distinct
+    * non-empty LHS. An empty-LHS FD `∅ → B` puts all rows in one group, so it
+    * is decided by one row count instead of a window over a single partition:
+    * every row is non-unique iff there are at least two.
     */
   def nonUniqueDF(df: DataFrame, fds: Seq[(Seq[String], String)], idCol: String): DataFrame = {
     require(fds.nonEmpty, "no FDs given")
+    val nonTrivial = fds.filterNot { case (l, r) => l.contains(r) }
+    if (nonTrivial.isEmpty) return df.select(col(idCol), lit("").as("attr")).limit(0) // nothing non-unique
     lazy val manyRows = df.limit(2).count() > 1
-    val perFd = fds.filterNot { case (l, r) => l.contains(r) }.flatMap {
-      case (lhs, rhs) if lhs.isEmpty =>
-        Option.when(manyRows)(df.select(col(idCol), lit(rhs).as("attr")))
-      case (lhs, rhs) =>
-        val w = Window.partitionBy(lhs.map(col): _*)
-        Some(df.select(col(idCol), count(lit(1)).over(w).as("grp_n"))
-          .where(col("grp_n") > 1)
-          .select(col(idCol), lit(rhs).as("attr")))
+    val lhss = nonTrivial.map(_._1).filter(_.nonEmpty).distinct
+    // The windows get their own select: Spark rejects a window inside `explode`.
+    val grouped = df.select(col(idCol) +: lhss.zipWithIndex.map { case (l, i) =>
+      count(lit(1)).over(Window.partitionBy(l.map(col): _*)).as(s"grp_n$i")
+    }: _*)
+    val attrs = nonTrivial.groupBy(_._2).map { case (b, fs) =>
+      val shared = fs.map { case (l, _) => if (l.isEmpty) lit(manyRows) else col(s"grp_n${lhss.indexOf(l)}") > 1 }
+      when(shared.reduce(_ || _), lit(b))
     }
-    if (perFd.isEmpty) df.select(col(idCol), lit("").as("attr")).limit(0) // nothing non-unique
-    else perFd.reduce(_.union(_)).distinct()
+    grouped.select(col(idCol), explode(array(attrs.toSeq: _*)).as("attr")).where(col("attr").isNotNull)
   }
 
   /** Distributed count of non-unique positions per attribute: the headline

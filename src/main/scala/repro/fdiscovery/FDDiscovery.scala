@@ -1,9 +1,9 @@
 package repro.fdiscovery
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 import repro.core.{FD, FDs, Instance}
+import repro.scale.WitnessStats
 
 /** Functional-dependency discovery — the Metanome substitute.
   *
@@ -54,14 +54,8 @@ object FDDiscovery {
     fds.map(f => (f.lhs.toSeq.sorted.map(inst.attrs), inst.attrs(f.rhs))).toVector
 
   /** Distributed verification of one FD: `lhs -> rhs` holds iff no LHS group
-    * contains two distinct RHS values (a single groupBy/aggregate scan).
+    * has two distinct non-null RHS values ([[WitnessStats.profile]]'s `holds`).
     */
-  def holdsSpark(df: DataFrame, lhs: Seq[String], rhs: String): Boolean = {
-    if (lhs.contains(rhs)) return true
-    df.groupBy(lhs.map(col): _*)
-      .agg(countDistinct(col(rhs)).as("d"))
-      .agg(max(col("d")).as("m"))
-      .collect()(0)
-      .getLong(0) <= 1L
-  }
+  def holdsSpark(df: DataFrame, lhs: Seq[String], rhs: String): Boolean =
+    WitnessStats.profile(df.sparkSession, df, Seq(lhs -> rhs)).select("holds").head().getBoolean(0)
 }

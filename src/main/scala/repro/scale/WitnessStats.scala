@@ -8,7 +8,7 @@ import org.apache.spark.sql.types.{DateType, DoubleType, IntegerType, LongType}
   *
   * The paper's prototype is single-threaded and tops out at 150 rows; its
   * outlook names parallelization as the way to scale. This module runs the
-  * building block that dominates that scaling — the per-FD duplicate-group
+  * building block that dominates that scaling — the per-LHS duplicate-group
   * scan behind Prop. 3.2 (which cells can carry plaque at all, and how many
   * witnesses each has) — as Spark `groupBy`/`agg` dataflows over TPC-H-lite
   * data at SF 0.1, i.e. millions of cells instead of hundreds.
@@ -25,39 +25,42 @@ object WitnessStats {
   // Each column draws from its own fixed `rand(seed + k)`, so a column's
   // values do not depend on which other columns are generated.
 
-  /** Per-FD redundancy profile of `df`:
+  /** Per-FD redundancy profile of `df`, one row per FD in the order of `fds`:
     *
     *  - `fd`               rendered `lhs -> rhs`
-    *  - `holds`            whether the FD holds (max distinct RHS per group = 1)
+    *  - `holds`            whether the FD holds (no group has two distinct non-null RHS values)
     *  - `n_groups`         number of distinct LHS values
     *  - `n_dup_groups`     groups of size ≥ 2
     *  - `n_nonunique_cells` RHS cells with entropy < 1 (Prop. 3.2)
     *  - `n_witness_pairs`  Σ over groups of g·(g−1) — total witness-clause count
+    *
+    * One aggregate per distinct LHS serves all its FDs: each RHS `b` adds
+    * `max(b) <=> min(b)` per group to the group counts.
     */
   def profile(spark: SparkSession, df: DataFrame, fds: Seq[(Seq[String], String)]): DataFrame = {
     import spark.implicits._
-    val rows = fds.map { case (lhs, rhs) =>
+    val rows = fds.map(_._1).distinct.flatMap { lhs =>
+      val rhss = fds.collect { case (`lhs`, b) => b }.distinct
+      // Positional aliases: an RHS may also be an LHS column, i.e. a grouping key.
+      val same = rhss.indices.map(k => (max(col(rhss(k))) <=> min(col(rhss(k)))).as(s"same$k"))
       val g = df
         .groupBy(lhs.map(col): _*)
-        .agg(count(lit(1)).as("g"), countDistinct(col(rhs)).as("d"))
+        .agg(count(lit(1)).as("g"), same: _*)
         .agg(
-          max(col("d")).as("max_d"),
-          count(lit(1)).as("n_groups"),
-          sum(when(col("g") > 1, 1L).otherwise(0L)).as("n_dup"),
-          sum(when(col("g") > 1, col("g")).otherwise(0L)).as("n_nonunique"),
-          sum(col("g") * (col("g") - 1)).as("n_pairs"),
+          count(lit(1)),
+          Seq(
+            count(when(col("g") > 1, 1)),
+            coalesce(sum(when(col("g") > 1, col("g"))), lit(0L)),
+            coalesce(sum(col("g") * (col("g") - 1)), lit(0L)),
+          ) ++ rhss.indices.map(k => count(when(!col(s"same$k"), 1)) === 0): _*
         )
         .collect()(0)
-      (
-        s"${lhs.mkString(", ")} -> $rhs",
-        g.getLong(0) <= 1L,
-        g.getLong(1),
-        g.getLong(2),
-        g.getLong(3),
-        g.getLong(4),
-      )
-    }
-    rows.toDF("fd", "holds", "n_groups", "n_dup_groups", "n_nonunique_cells", "n_witness_pairs")
+      rhss.indices.map { k =>
+        val fd = s"${lhs.mkString(", ")} -> ${rhss(k)}"
+        (lhs, rhss(k)) -> (fd, g.getBoolean(4 + k), g.getLong(0), g.getLong(1), g.getLong(2), g.getLong(3))
+      }
+    }.toMap
+    fds.map(rows).toDF("fd", "holds", "n_groups", "n_dup_groups", "n_nonunique_cells", "n_witness_pairs")
   }
 
   /** TPC-H-lite orders with a planted low-cardinality FD target: `o_region`

@@ -1,12 +1,15 @@
 package repro.core
 
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.aggregate.HashAggregateExec
 import org.apache.spark.sql.execution.window.WindowExec
+import org.apache.spark.sql.functions.monotonically_increasing_id
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{Oracle, SparkSpec}
 import repro.data.Datasets
 import repro.fdiscovery.FDDiscovery
+import repro.scale.WitnessStats
 
 class UniquenessSpec extends AnyFunSuite with SparkSpec with AdaptiveSparkPlanHelper {
 
@@ -159,6 +162,33 @@ class UniquenessSpec extends AnyFunSuite with SparkSpec with AdaptiveSparkPlanHe
     val one = Datasets.echocardiogram(spark).limit(1)
     assert(Uniqueness.nonUniqueDF(one, Seq(Seq.empty[String] -> "name"), "id").count() == 0)
     assert(Uniqueness.nonUniqueDF(one.limit(0), Seq(Seq.empty[String] -> "name"), "id").count() == 0)
+  }
+
+  // lineitem ⋈ orders: three FDs share the LHS l_orderkey, and o_region is
+  // reached from two LHSs. Cached, so the row ids stay fixed across jobs.
+  private lazy val denorm =
+    WitnessStats.lineitemDenorm(spark, 0.002).withColumn("row_id", monotonically_increasing_id()).cache()
+
+  test("nonUniqueDF runs one window per distinct LHS and no aggregate (denormFds)") {
+    val nonUnique = Uniqueness.nonUniqueDF(denorm, WitnessStats.denormFds, "row_id")
+    nonUnique.collect()
+    val plan = nonUnique.queryExecution.executedPlan
+    val windows = collect(plan) { case w: WindowExec => w }
+    val aggregates = collect(plan) { case a: HashAggregateExec => a }
+    assert(windows.size == 2 && aggregates.isEmpty, plan)
+  }
+
+  test("nonUniqueDF matches DuckDB's per-FD window query on lineitem ⋈ orders") {
+    val perFd = WitnessStats.denormFds.map { case (lhs, rhs) =>
+      s"SELECT row_id, '$rhs' AS attr FROM " +
+        s"(SELECT row_id, count(*) OVER (PARTITION BY ${lhs.mkString(", ")}) AS g FROM t) WHERE g > 1"
+    }
+    Oracle.assertEquivalent(
+      Uniqueness.nonUniqueDF(denorm, WitnessStats.denormFds, "row_id")
+        .selectExpr("cast(row_id as string) as row_id", "attr"),
+      s"SELECT DISTINCT row_id, attr FROM (${perFd.mkString(" UNION ALL ")})",
+      "t" -> denorm.selectExpr("cast(row_id as string) as row_id", "l_orderkey", "o_custkey"),
+    )
   }
 
   test("fdHolds is true for the planted satellite FDs") {

@@ -132,6 +132,35 @@ class FDDiscoverySpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  test("holdsSpark agrees with DuckDB's max(count(DISTINCT r)) <= 1 on null LHS and RHS values") {
+    val s = spark
+    import s.implicits._
+    val df = Seq(
+      (Some(1), Some("x"), Some("a")),
+      (Some(1), Some("x"), None),
+      (None, Some("y"), Some("b")),
+      (None, Some("y"), Some("b")),
+      (Some(2), None, None),
+      (Some(2), None, None),
+      (Some(3), Some("y"), Some("c")),
+    ).toDF("k1", "k2", "v")
+    val cases = Seq(
+      Seq("k1") -> "v", Seq("k2") -> "v", Seq("v") -> "k1", Seq("v") -> "k2",
+      Seq("k1") -> "k2", Seq("k2") -> "k1", Seq("k1", "k2") -> "v",
+    )
+    def name(lhs: Seq[String], rhs: String) = s"${lhs.mkString(", ")} -> $rhs"
+    val got = cases.map { case (lhs, rhs) => (name(lhs, rhs), FDDiscovery.holdsSpark(df, lhs, rhs)) }
+    assert(got.map(_._2).distinct.size == 2, got) // both outcomes occur
+    Oracle.assertEquivalent(
+      got.toDF("fd", "holds"),
+      cases.map { case (lhs, rhs) =>
+        s"SELECT '${name(lhs, rhs)}' AS fd, max(d) <= 1 AS holds " +
+          s"FROM (SELECT count(DISTINCT $rhs) AS d FROM t GROUP BY ${lhs.mkString(", ")})"
+      }.mkString(" UNION ALL "),
+      "t" -> df,
+    )
+  }
+
   test("holdsSpark agrees with a DuckDB group-count check") {
     // Verify the groupBy/countDistinct dataflow itself against DuckDB.
     val counts = satDf

@@ -3,6 +3,8 @@ package repro.scale
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{Oracle, SparkSpec}
+import repro.data.Datasets
+import repro.fdiscovery.FDDiscovery
 
 class WitnessStatsSpec extends AnyFunSuite with SparkSpec {
 
@@ -41,6 +43,29 @@ class WitnessStatsSpec extends AnyFunSuite with SparkSpec {
       assert(nonUnique >= 2 * dupGroups)    // every dup group has ≥ 2 members
       assert(pairs >= nonUnique)            // g(g-1) ≥ g for g ≥ 2
     }
+  }
+
+  test("profile keeps the input order, a repeated FD and a trivial FD, each row as if profiled alone") {
+    val fds = Seq(
+      Seq("l_orderkey") -> "o_custkey",
+      Seq("o_custkey") -> "o_region",
+      Seq("l_orderkey") -> "o_custkey",
+      Seq("l_orderkey", "o_region") -> "o_region",
+      Seq("o_region") -> "o_custkey",
+      Seq("l_orderkey") -> "o_region",
+    )
+    val prof = WitnessStats.profile(spark, denorm, fds).collect().toSeq
+    assert(prof.map(_.getString(0)) == fds.map { case (l, r) => s"${l.mkString(", ")} -> $r" })
+    for ((fd, row) <- fds.zip(prof))
+      assert(row == WitnessStats.profile(spark, denorm, Seq(fd)).collect()(0), fd)
+    assert(prof(3).getBoolean(1) && !prof(4).getBoolean(1))
+  }
+
+  test("on an empty frame an FD holds and every count is 0") {
+    val empty = Datasets.satellites(spark).limit(0)
+    assert(FDDiscovery.holdsSpark(empty, Seq("mean_radius"), "planet"))
+    val prof = WitnessStats.profile(spark, empty, Seq(Seq("mean_radius") -> "planet")).collect()(0)
+    assert(prof.getBoolean(1) && (2 to 5).forall(prof.getLong(_) == 0L), prof)
   }
 
   test("profile matches the DuckDB oracle for l_orderkey -> o_custkey") {

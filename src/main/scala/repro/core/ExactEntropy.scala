@@ -165,52 +165,18 @@ object ExactEntropy {
   /** Largest clause-cell union [[viaClauses]] enumerates (2^26 subsets). */
   private val MaxVars = 26
 
-  /** Lane patterns of clause cells 0–5: lane `l` of word `v` is bit `v` of `l`. */
-  private val LowCells = Array(
-    0xaaaaaaaaaaaaaaaaL, 0xccccccccccccccccL, 0xf0f0f0f0f0f0f0f0L,
-    0xff00ff00ff00ff00L, 0xffff0000ffff0000L, 0xffffffff00000000L)
-
   /** Fast exact value via witness clauses: cells appearing in no clause of
     * `p` cannot influence fulfilment, so it suffices to enumerate the subsets
     * of the clause-cell union (each outside cell contributes a factor
     * `2 / 2 = 1`). Exact, and exponential only in the number of *involved*
-    * cells.
-    *
-    * The `2^n` subsets are evaluated as a truth table, 64 per word: lane `l`
-    * of word `w` is the subset `(w << 6) | l` (bit `v` set = clause cell `v`
-    * deleted). Cells 0–5 vary across lanes as the fixed [[LowCells]]
-    * patterns; cells 6 and up are constant within a word, given by `w`'s
-    * bits. A clause is hit in every lane of `w` if one of its high cells is
-    * set in `w`, and otherwise in the OR of its low cells' patterns. A word's
-    * hits are the AND over clauses (early exit once no lane is left),
-    * counted with `Long.bitCount`; for `n < 6` only the low `2^n` lanes of
-    * the single word count. Returns `hits / 2^n`, bit for bit what a
-    * subset-at-a-time loop gives. `mc` are the lowered clauses of `p`,
-    * which a refusal names.
+    * cells. The `2^n` subsets run through the Monte-Carlo sampler's clause
+    * loop with every subset as one lane (`MonteCarlo.Kernel.exact`), bit for
+    * bit what a subset-at-a-time loop gives. `mc` are the lowered clauses of
+    * `p`, which a refusal names.
     */
   private[core] def viaClauses(p: Pos, mc: MonteCarlo.MaskedClauses): Double = {
-    if (mc.vars.isEmpty) return 1.0
-    val n = mc.nVars
-    require(n <= MaxVars, s"clause-cell union of position $p has $n cells, more than the $MaxVars exact enumeration allows")
-    // MaxVars < 64, so every clause fits in one word.
-    val bits = mc.vars.map(_.foldLeft(0L)((acc, v) => acc | 1L << v))
-    val high = bits.map(_ >>> 6)
-    val low = bits.map(b => (0 until 6).foldLeft(0L)((acc, v) => if ((b & 1L << v) != 0L) acc | LowCells(v) else acc))
-    val lanes = if (n >= 6) -1L else (1L << (1 << n)) - 1
-    val words = 1L << math.max(n - 6, 0)
-    var hits = 0L
-    var w = 0L
-    while (w < words) {
-      var alive = lanes
-      var i = 0
-      while (alive != 0L && i < low.length) {
-        if ((high(i) & w) == 0L) alive &= low(i)
-        i += 1
-      }
-      hits += java.lang.Long.bitCount(alive)
-      w += 1
-    }
-    hits.toDouble / (1L << n)
+    require(mc.nVars <= MaxVars, s"clause-cell union of position $p has ${mc.nVars} cells, more than the $MaxVars exact enumeration allows")
+    new MonteCarlo.Kernel(mc).exact
   }
 
   /** Clause-based exact entropy matrix (every position's clause-cell union

@@ -29,7 +29,7 @@ object WitnessStats {
     *
     *  - `fd`               rendered `lhs -> rhs`
     *  - `holds`            whether the FD holds (no group has two distinct non-null RHS values)
-    *  - `n_groups`         number of distinct LHS values
+    *  - `n_groups`         number of distinct LHS values (0 on an empty frame)
     *  - `n_dup_groups`     groups of size ≥ 2
     *  - `n_nonunique_cells` RHS cells with entropy < 1 (Prop. 3.2)
     *  - `n_witness_pairs`  Σ over groups of g·(g−1) — total witness-clause count
@@ -47,7 +47,8 @@ object WitnessStats {
         .groupBy(lhs.map(col): _*)
         .agg(count(lit(1)).as("g"), same: _*)
         .agg(
-          count(lit(1)),
+          // An ∅ LHS on an empty frame still yields one group, of size 0.
+          count(when(col("g") > 0, 1)),
           Seq(
             count(when(col("g") > 1, 1)),
             coalesce(sum(when(col("g") > 1, col("g"))), lit(0L)),

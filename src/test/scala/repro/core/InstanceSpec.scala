@@ -95,6 +95,16 @@ class InstanceSpec extends AnyFunSuite with SparkSpec {
     assert(inst.rows.map(_(0)) == Vector(0, 1, 0))
   }
 
+  test("fromDataFrame encodes DateType and TimestampType columns") {
+    val schema = StructType(Seq(StructField("id", LongType), StructField("d", DateType), StructField("ts", TimestampType)))
+    val (d1, d2) = (java.sql.Date.valueOf("1992-01-01"), java.sql.Date.valueOf("1998-08-02"))
+    val (t1, t2) = (java.sql.Timestamp.valueOf("1992-01-01 00:00:00"), java.sql.Timestamp.valueOf("1992-01-01 00:00:01"))
+    val rows = Seq(Row(0L, d1, t1), Row(1L, d2, t1), Row(2L, d1, t2))
+    val inst = Instance.fromDataFrame(spark.createDataFrame(rows.asJava, schema), "id")
+    assert(inst.attrs == Vector("d", "ts"))
+    assert(inst.rows == Vector(Vector(0, 0), Vector(1, 0), Vector(0, 1)))
+  }
+
   test("fromDataFrame fixes tuple order by the orderBy column and drops it") {
     import spark.implicits._
     val df = Seq((2L, "b", "y"), (0L, "a", "x"), (1L, "a", "z"))

@@ -1,5 +1,6 @@
 package repro.fdiscovery
 
+import org.apache.spark.sql.DataFrame
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{Oracle, SparkSpec}
@@ -144,10 +145,29 @@ class FDDiscoverySpec extends AnyFunSuite with SparkSpec {
       (Some(2), None, None),
       (Some(3), Some("y"), Some("c")),
     ).toDF("k1", "k2", "v")
-    val cases = Seq(
+    assertHoldsLikeDuckDb(df, Seq(
       Seq("k1") -> "v", Seq("k2") -> "v", Seq("v") -> "k1", Seq("v") -> "k2",
       Seq("k1") -> "k2", Seq("k2") -> "k1", Seq("k1", "k2") -> "v",
-    )
+    ))
+  }
+
+  test("holdsSpark agrees with a DuckDB group-count check") {
+    assertHoldsLikeDuckDb(satDf, Seq(
+      Seq("mean_radius") -> "planet",
+      Seq("planet") -> "mean_radius",
+      Seq("discovered_by") -> "notes",
+      Seq("notes") -> "discovered_by",
+      Seq("name") -> "planet",
+      Seq("planet", "discovered_by") -> "mean_radius",
+    ))
+  }
+
+  /** `holdsSpark` on each of `cases`, of which some hold and some fail,
+    * equals DuckDB's `max(count(DISTINCT rhs)) <= 1` over the LHS groups.
+    */
+  private def assertHoldsLikeDuckDb(df: DataFrame, cases: Seq[(Seq[String], String)]): Unit = {
+    val s = spark
+    import s.implicits._
     def name(lhs: Seq[String], rhs: String) = s"${lhs.mkString(", ")} -> $rhs"
     val got = cases.map { case (lhs, rhs) => (name(lhs, rhs), FDDiscovery.holdsSpark(df, lhs, rhs)) }
     assert(got.map(_._2).distinct.size == 2, got) // both outcomes occur
@@ -158,18 +178,6 @@ class FDDiscoverySpec extends AnyFunSuite with SparkSpec {
           s"FROM (SELECT count(DISTINCT $rhs) AS d FROM t GROUP BY ${lhs.mkString(", ")})"
       }.mkString(" UNION ALL "),
       "t" -> df,
-    )
-  }
-
-  test("holdsSpark agrees with a DuckDB group-count check") {
-    // Verify the groupBy/countDistinct dataflow itself against DuckDB.
-    val counts = satDf
-      .groupBy("mean_radius")
-      .agg(org.apache.spark.sql.functions.expr("cast(count(distinct planet) as string) as d"))
-    Oracle.assertEquivalent(
-      counts,
-      "SELECT mean_radius, CAST(COUNT(DISTINCT planet) AS VARCHAR) AS d FROM sat GROUP BY mean_radius",
-      "sat" -> satDf,
     )
   }
 }

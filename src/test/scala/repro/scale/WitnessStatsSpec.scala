@@ -63,9 +63,11 @@ class WitnessStatsSpec extends AnyFunSuite with SparkSpec {
 
   test("on an empty frame an FD holds and every count is 0") {
     val empty = Datasets.satellites(spark).limit(0)
-    assert(FDDiscovery.holdsSpark(empty, Seq("mean_radius"), "planet"))
-    val prof = WitnessStats.profile(spark, empty, Seq(Seq("mean_radius") -> "planet")).collect()(0)
-    assert(prof.getBoolean(1) && (2 to 5).forall(prof.getLong(_) == 0L), prof)
+    for (lhs <- Seq(Seq("mean_radius"), Nil)) {
+      assert(FDDiscovery.holdsSpark(empty, lhs, "planet"), lhs)
+      val prof = WitnessStats.profile(spark, empty, Seq(lhs -> "planet")).collect()(0)
+      assert(prof.getBoolean(1) && (2 to 5).forall(prof.getLong(_) == 0L), prof)
+    }
   }
 
   test("profile matches the DuckDB oracle for l_orderkey -> o_custkey") {

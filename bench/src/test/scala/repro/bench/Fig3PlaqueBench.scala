@@ -21,7 +21,7 @@ import repro.viz.Heatmap
 class Fig3PlaqueBench extends AnyFunSuite with SparkSpec {
 
   private lazy val summaries = {
-    val ss = Fig3Exp.run(spark, iterations = 20000)
+    val ss = Fig3Exp.run(spark, iterations = 100000)
     println("\n=== Figure 3 / RQ1: plaque tests on the five datasets ===")
     println(Fig3Exp.format(ss))
     for (s <- ss.take(1)) { // one heat map as a visual sample
@@ -35,13 +35,12 @@ class Fig3PlaqueBench extends AnyFunSuite with SparkSpec {
 
   test("RQ1: all five datasets are analyzed at the paper's row counts") {
     assert(summaries.map(_.dataset) == Fig3Exp.DatasetNames)
-    assert(sum("satellites").rows == 150 && sum("echocardiogram").rows == 132)
+    assert(sum("satellites").result.inst.nRows == 150 && sum("echocardiogram").result.inst.nRows == 132)
   }
 
   test("RQ1 satellites: plaque only in planet and notes, concentrated in planet") {
-    val s = sum("satellites")
-    assert(s.plaqueColumns.toSet == Set("planet", "notes"), s"got ${s.plaqueColumns}")
-    val res = s.result
+    val res = sum("satellites").result
+    assert(res.plaqueColumns.toSet == Set("planet", "notes"), s"got ${res.plaqueColumns}")
     val planetIdx = res.inst.attrIndex("planet")
     val notesIdx = res.inst.attrIndex("notes")
     val planetCells = res.entropies.count(_(planetIdx) < 1.0)
@@ -50,16 +49,15 @@ class Fig3PlaqueBench extends AnyFunSuite with SparkSpec {
   }
 
   test("RQ1 satellites: minimum entropy sits in the radius-3.0 Saturn group") {
-    val s = sum("satellites")
-    val res = s.result
+    val res = sum("satellites").result
     val planetIdx = res.inst.attrIndex("planet")
     val minRow = (0 until res.inst.nRows).minBy(j => res.entropies(j)(planetIdx))
     assert((6 to 13).contains(minRow), s"min at row $minRow")
-    assert(s.minEntropy > 0.5 && s.minEntropy < 0.65)
+    assert(res.minEntropy > 0.5 && res.minEntropy < 0.65)
   }
 
   test("RQ1 adult: plaque exactly in education and education_num") {
-    assert(sum("adult").plaqueColumns.toSet == Set("education", "education_num"))
+    assert(sum("adult").result.plaqueColumns.toSet == Set("education", "education_num"))
   }
 
   test("RQ1 adult: both columns share the same entropy in every row (cyclic FDs)") {
@@ -72,28 +70,26 @@ class Fig3PlaqueBench extends AnyFunSuite with SparkSpec {
   }
 
   test("RQ1 echocardiogram: 11 of 13 columns carry plaque") {
-    assert(sum("echocardiogram").plaqueColumns.size == 11)
+    assert(sum("echocardiogram").result.plaqueColumns.size == 11)
   }
 
   test("RQ1 echocardiogram: the anonymised name column has entropy ~0 everywhere") {
-    val s = sum("echocardiogram")
-    assert(s.zeroColumns.contains("name"), s"zero columns: ${s.zeroColumns}")
-    val res = s.result
+    val res = sum("echocardiogram").result
+    assert(res.zeroColumns().contains("name"), s"zero columns: ${res.zeroColumns()}")
     val nameIdx = res.inst.attrIndex("name")
     assert(res.entropies.forall(_(nameIdx) < 0.05))
   }
 
   test("RQ1 ncvoter: 15 of 19 columns carry plaque") {
-    assert(sum("ncvoter").plaqueColumns.size == 15)
+    assert(sum("ncvoter").result.plaqueColumns.size == 15)
   }
 
   test("RQ1 ncvoter: the single-state column has no information content") {
-    val s = sum("ncvoter")
-    assert(s.zeroColumns.contains("state"))
+    assert(sum("ncvoter").result.zeroColumns().contains("state"))
   }
 
   test("RQ1 iris: only the class column carries plaque") {
-    assert(sum("iris").plaqueColumns == Vector("class"))
+    assert(sum("iris").result.plaqueColumns == Vector("class"))
   }
 
   test("RQ1 iris: every discovered FD has class on the RHS") {
@@ -104,7 +100,7 @@ class Fig3PlaqueBench extends AnyFunSuite with SparkSpec {
 
   test("RQ1: the plaque test is selective — most cells stay white everywhere") {
     for (s <- summaries if s.dataset != "echocardiogram") {
-      val colored = s.cellsBelowOne.toDouble / (s.rows * s.cols)
+      val colored = s.result.cellsBelowOne.toDouble / s.result.cells
       assert(colored < 0.35, s"${s.dataset}: $colored colored")
     }
   }

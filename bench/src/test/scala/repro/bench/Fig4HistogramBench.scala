@@ -16,23 +16,23 @@ import repro.exp.Fig4Exp
 class Fig4HistogramBench extends AnyFunSuite with SparkSpec {
 
   private lazy val h = {
-    val r = Fig4Exp.run(spark, iterations = 20000)
+    val r = Fig4Exp.run(spark, iterations = 100000)
     println("\n=== Figure 4: entropy histogram, satellites (150 rows) ===")
     println(Fig4Exp.format(r))
     r
   }
 
   test("Fig. 4: 1,200 cells in total") {
-    assert(h.cells == 1200)
-    assert(h.buckets.map(_._2).sum == 1200)
+    assert(h.result.cells == 1200)
+    assert(h.result.histogram(0.05).map(_._2).sum == 1200)
   }
 
   test("Fig. 4: ~90% of cells have entropy 1 (paper: 1,083 of 1,200)") {
-    assert(h.fractionOnes > 0.88 && h.fractionOnes < 0.92, s"got ${h.fractionOnes}")
+    assert(h.result.fractionOnes > 0.88 && h.result.fractionOnes < 0.92, s"got ${h.result.fractionOnes}")
   }
 
   test("Fig. 4: the minimum entropy is close to 0.6 (paper: ≈0.6)") {
-    assert(h.minEntropy > 0.5 && h.minEntropy < 0.65, s"got ${h.minEntropy}")
+    assert(h.result.minEntropy > 0.5 && h.result.minEntropy < 0.65, s"got ${h.result.minEntropy}")
   }
 
   test("Fig. 4: values below 1 are scarce and bounded (paper: ~5% below 0.9)") {

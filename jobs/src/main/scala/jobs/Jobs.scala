@@ -22,9 +22,12 @@ object Jobs {
 object Table1Job {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("table1")
-    val maxRows = args.headOption.map(_.toInt).getOrElse(6)
-    val budget = args.lift(1).map(_.toLong).getOrElse(120000L)
-    println(Table1Exp.format(Table1Exp.run(spark, maxRows, budget)))
+    val rows = args match {
+      case Array(maxRows, budget, _*) => Table1Exp.run(spark, maxRows.toInt, budget.toLong)
+      case Array(maxRows) => Table1Exp.run(spark, maxRows.toInt)
+      case _ => Table1Exp.run(spark)
+    }
+    println(Table1Exp.format(rows))
     spark.stop()
   }
 }
@@ -42,8 +45,7 @@ object Fig2Job {
 object PlaqueJob {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("plaque")
-    val iters = args.headOption.filterNot(_.startsWith("--")).map(_.toLong).getOrElse(20000L)
-    val ss = Fig3Exp.run(spark, iters)
+    val ss = args.headOption.filterNot(_.startsWith("--")).fold(Fig3Exp.run(spark))(i => Fig3Exp.run(spark, i.toLong))
     println(Fig3Exp.format(ss))
     if (args.contains("--heatmaps")) println("\n" + Fig3Exp.heatmaps(ss))
     spark.stop()
@@ -54,7 +56,8 @@ object PlaqueJob {
 object Fig4Job {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("fig4")
-    println(Fig4Exp.format(Fig4Exp.run(spark, args.headOption.map(_.toLong).getOrElse(20000L))))
+    val h = args.headOption.fold(Fig4Exp.run(spark))(i => Fig4Exp.run(spark, i.toLong))
+    println(Fig4Exp.format(h))
     spark.stop()
   }
 }
@@ -74,9 +77,12 @@ object Fig5Job {
 object Fig6Job {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("fig6")
-    val lo = args.headOption.map(_.toLong).getOrElse(1000L)
-    val hi = args.lift(1).map(_.toLong).getOrElse(100000L)
-    println(Fig6Exp.format(Fig6Exp.run(spark, lo, hi)))
+    val c = args match {
+      case Array(lo, hi, _*) => Fig6Exp.run(spark, lo.toLong, hi.toLong)
+      case Array(lo) => Fig6Exp.run(spark, lo.toLong)
+      case _ => Fig6Exp.run(spark)
+    }
+    println(Fig6Exp.format(c))
     spark.stop()
   }
 }
@@ -95,8 +101,7 @@ object HeatmapJob {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("heatmap")
     val name = args.headOption.getOrElse("satellites")
-    val iters = args.lift(1).map(_.toLong).getOrElse(20000L)
-    val s = Fig3Exp.runOne(spark, name, iters)
+    val s = args.lift(1).fold(Fig3Exp.runOne(spark, name))(i => Fig3Exp.runOne(spark, name, i.toLong))
     println(Fig3Exp.format(Seq(s)))
     println(Heatmap.render(s.result))
     spark.stop()

@@ -46,11 +46,11 @@ object PlaqueTest {
     def minEntropy: Double =
       entropies.iterator.flatMap(_.iterator).foldLeft(1.0)(math.min)
 
+    /** Number of cells with entropy below 1 (the colored cells of a heat map). */
+    def cellsBelowOne: Int = entropies.iterator.flatMap(_.iterator).count(_ < 1.0)
+
     /** Fraction of cells with entropy exactly 1 (Fig. 4's headline). */
-    def fractionOnes: Double = {
-      val ones = entropies.iterator.flatMap(_.iterator).count(_ >= 1.0)
-      ones.toDouble / cells
-    }
+    def fractionOnes: Double = (cells - cellsBelowOne).toDouble / cells
 
     /** Attribute names with at least one cell below 1 ("columns with
       * plaque"; RQ1 reports these per dataset).

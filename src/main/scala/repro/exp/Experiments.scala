@@ -26,7 +26,9 @@ object Experiments {
 
   private val cache = scala.collection.mutable.Map.empty[String, Prepared]
 
-  /** Load a mimic dataset and run FD discovery on it (cached per session). */
+  /** Load a mimic dataset and run FD discovery on it, once per JVM: the
+    * result is cached by dataset name, whichever session asks.
+    */
   def prepare(spark: SparkSession, name: String): Prepared = synchronized {
     cache.getOrElseUpdate(name, {
       val df = Datasets.byName(spark)(name)

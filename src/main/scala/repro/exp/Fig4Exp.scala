@@ -11,34 +11,22 @@ import repro.core.PlaqueTest
   */
 object Fig4Exp {
 
-  final case class Histogram(
-      result: PlaqueTest.Result,
-      buckets: Vector[(Double, Int)],
-      cells: Int,
-      fractionOnes: Double,
-      fractionBelow09: Double,
-      minEntropy: Double,
-  )
+  final case class Histogram(result: PlaqueTest.Result, fractionBelow09: Double)
 
-  def run(spark: SparkSession, iterations: Long = 20000L): Histogram = {
+  private val BucketWidth = 0.05
+
+  def run(spark: SparkSession, iterations: Long = 100000L): Histogram = {
     val prep = Experiments.prepare(spark, "satellites")
     val res = PlaqueTest.run(spark, prep.inst, prep.fds, iterations)
-    val flat = res.entropies.flatten
-    Histogram(
-      res,
-      res.histogram(0.05),
-      res.cells,
-      res.fractionOnes,
-      flat.count(_ < 0.9).toDouble / res.cells,
-      res.minEntropy,
-    )
+    Histogram(res, res.entropies.flatten.count(_ < 0.9).toDouble / res.cells)
   }
 
   def format(h: Histogram): String = {
-    val rows = h.buckets.collect { case (lo, n) if n > 0 =>
-      Seq(f"[$lo%.2f, ${lo + 0.05}%.2f)", n.toString, "#" * math.max(1, math.ceil(40.0 * n / h.cells).toInt))
+    val r = h.result
+    val rows = r.histogram(BucketWidth).collect { case (lo, n) if n > 0 =>
+      Seq(f"[$lo%.2f, ${lo + BucketWidth}%.2f)", n.toString, "#" * math.max(1, math.ceil(40.0 * n / r.cells).toInt))
     }
     Experiments.formatTable(Seq("entropy bucket", "cells", ""), rows) +
-      f"\n\ncells=${h.cells} fractionOnes=${h.fractionOnes}%.3f fraction<0.9=${h.fractionBelow09}%.3f min=${h.minEntropy}%.3f"
+      f"\n\ncells=${r.cells} fractionOnes=${r.fractionOnes}%.3f fraction<0.9=${h.fractionBelow09}%.3f min=${r.minEntropy}%.3f"
   }
 }

@@ -13,46 +13,33 @@ import repro.core.{MonteCarlo, PlaqueTest}
   */
 object Fig6Exp {
 
-  /** @param maxExactDiff `max |high − runExact|` over all cells
-    * @param highEps      `MonteCarlo.accuracy(highIters, 1e-6)`: the ε every
-    *                     high-run cell meets with confidence 1 − 10⁻⁶
-    */
+  /** @param maxExactDiff `max |high − runExact|` over all cells */
   final case class Comparison(
-      lowIters: Long,
-      highIters: Long,
       low: PlaqueTest.Result,
       high: PlaqueTest.Result,
       maxDiff: Double,
-      cellsBelowOne: Int,
       cellsDiffAbove002: Int,
       maxExactDiff: Double,
-      highEps: Double,
-  )
+  ) {
 
-  def run(spark: SparkSession, lowIters: Long = 1000L, highIters: Long = 100000L): Comparison = {
+    /** The ε every high-run cell meets with confidence 1 − 10⁻⁶. */
+    def highEps: Double = MonteCarlo.accuracy(high.iterations, 1e-6)
+  }
+
+  def run(spark: SparkSession, lowIters: Long = 1000L, highIters: Long = 1000000L): Comparison = {
     val prep = Experiments.prepare(spark, "satellites")
     val low = PlaqueTest.run(spark, prep.inst, prep.fds, lowIters, seed = 1)
     val high = PlaqueTest.run(spark, prep.inst, prep.fds, highIters, seed = 2)
     val exact = PlaqueTest.runExact(prep.inst, prep.fds)
-    val cells = for (j <- prep.inst.rows.indices; k <- prep.inst.attrs.indices) yield (j, k)
-    val diffs = cells.map { case (j, k) => math.abs(low.entropies(j)(k) - high.entropies(j)(k)) }
-    Comparison(
-      lowIters,
-      highIters,
-      low,
-      high,
-      diffs.max,
-      high.entropies.flatten.count(_ < 1.0),
-      diffs.count(_ > 0.02),
-      cells.map { case (j, k) => math.abs(high.entropies(j)(k) - exact.entropies(j)(k)) }.max,
-      MonteCarlo.accuracy(highIters, 1e-6),
-    )
+    def diffs(a: PlaqueTest.Result) = prep.inst.positions.map(p => math.abs(a.entropy(p) - high.entropy(p)))
+    val lowDiffs = diffs(low)
+    Comparison(low, high, lowDiffs.max, lowDiffs.count(_ > 0.02), diffs(exact).max)
   }
 
   def format(c: Comparison): String =
-    f"""iterations compared: ${c.lowIters} vs ${c.highIters}
+    f"""iterations compared: ${c.low.iterations} vs ${c.high.iterations}
        |max |entropy diff|  : ${c.maxDiff}%.4f
-       |cells < 1 (high run): ${c.cellsBelowOne}
+       |cells < 1 (high run): ${c.high.cellsBelowOne}
        |cells with diff>0.02: ${c.cellsDiffAbove002}
        |max |high - exact|  : ${c.maxExactDiff}%.4f (eps at delta=1e-6: ${c.highEps}%.4f)""".stripMargin
 }

@@ -3,6 +3,7 @@ package repro.exp
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.SparkSpec
+import repro.core.MonteCarlo
 
 /** Fast smoke checks of the experiment runners (the full sweeps live in the
   * bench project).
@@ -43,18 +44,23 @@ class ExpSmokeSpec extends AnyFunSuite with SparkSpec {
 
   test("Fig3Exp runs one dataset end to end (iris, small iterations)") {
     val s = Fig3Exp.runOne(spark, "iris", 2000)
-    assert(s.rows == 150 && s.cols == 5)
-    assert(s.plaqueColumns == Vector("class"))
-    assert(s.minEntropy < 1.0)
+    assert(s.result.inst.nRows == 150 && s.result.inst.arity == 5)
+    assert(s.result.plaqueColumns == Vector("class"))
+    assert(s.result.minEntropy < 1.0)
     // The per-dataset line prints the non-unique cells and their clause-shape classes.
-    assert(Fig3Exp.format(Seq(s)).linesIterator.exists(l => l.contains("iris") && l.contains("150 / 3")))
+    val table = Fig3Exp.format(Seq(s)).linesIterator.toVector
+    assert(table.exists(l => l.contains("iris") && l.contains("150 / 3")))
+    // Columns are joined by two or more spaces; cells hold at most single ones.
+    def cols(line: String) = line.trim.split(" {2,}").toVector
+    val irisLine = cols(table.find(_.trim.startsWith("iris")).get)
+    assert(irisLine(cols(table.head).indexOf("cells<1")) == s.result.entropies.flatten.count(_ < 1.0).toString)
   }
 
   test("Fig4Exp histogram accounts for all 1200 cells") {
     val h = Fig4Exp.run(spark, iterations = 2000)
-    assert(h.cells == 1200)
-    assert(h.buckets.map(_._2).sum == 1200)
-    assert(h.fractionOnes > 0.85)
+    assert(h.result.cells == 1200)
+    assert(h.result.histogram(0.05).map(_._2).sum == 1200)
+    assert(h.result.fractionOnes > 0.85)
     assert(Fig4Exp.format(h).contains("fractionOnes"))
   }
 
@@ -68,8 +74,10 @@ class ExpSmokeSpec extends AnyFunSuite with SparkSpec {
   test("Fig6Exp compares two MC runs (tiny)") {
     val c = Fig6Exp.run(spark, lowIters = 500, highIters = 5000)
     assert(c.maxDiff >= 0.0 && c.maxDiff <= 0.3)
-    assert(c.cellsBelowOne > 100 && c.cellsBelowOne < 140)
+    assert(c.high.cellsBelowOne > 100 && c.high.cellsBelowOne < 140)
+    assert(c.highEps == MonteCarlo.accuracy(5000, 1e-6))
     assert(Fig6Exp.format(c).contains("cells < 1"))
+    assert(Fig6Exp.format(c).contains("iterations compared: 500 vs 5000"))
   }
 
   test("ScaleExp runs at a tiny scale factor") {

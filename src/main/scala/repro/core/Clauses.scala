@@ -65,8 +65,10 @@ object Clauses {
   }
 
   /** The clause-shape classes of the non-unique positions, read off the
-    * partitions: each position's representative, and the lowered clauses
-    * ([[index]]'s entry) of the representatives only.
+    * partitions: the class id of every cell `row · arity + col` (−1 for a
+    * unique cell), and the representatives with their lowered clauses
+    * ([[index]]'s entry), class `i`'s at index `i`, in ascending
+    * `(row, col)` order.
     *
     * A witness clause of `p = (j, B)` from `L → B` has the cells `L` in row
     * `j` and `L ∪ {B}` in its witness row, fixed by the FD. So the clauses
@@ -77,48 +79,49 @@ object Clauses {
     * bitsets of `⌈#FDs with RHS B / 64⌉` words, sorted into one array, and
     * compared word for word. These are the classes of [[representatives]] on
     * [[forAllPositions]], whose keys give the column pairs of the same
-    * clauses row by row, and the representative is, as there, the class's
-    * least `(row, col)` position. `closedFds` is as for [[index]].
+    * clauses row by row. Positions are visited row by row, columns
+    * ascending, so the representative is, as there, the class's least
+    * `(row, col)` position. `closedFds` is as for [[index]].
     */
   private[core] def classes(inst: Instance, closedFds: Seq[FD], partition: Set[Int] => Partition)
-      : (Map[Pos, Pos], Map[Pos, Lowered]) = {
+      : (Array[Int], Vector[(Pos, MaskedClauses)]) = {
     val n = inst.nRows
     val w = new Witnesses(inst, closedFds, partition)
-    val repOf = Map.newBuilder[Pos, Pos]
-    val reps = Map.newBuilder[Pos, Lowered]
+    val classOf = Array.fill(inst.nCells)(-1)
+    val reps = scala.collection.mutable.ArrayBuffer.empty[(Pos, MaskedClauses)]
+    val words = w.groups.map(g => (g.length + 63) / 64)
+    val sig = new Array[Long](n * words.foldLeft(0)(math.max))
+    val first = Array.fill(w.rhs.length)(scala.collection.mutable.HashMap.empty[ArraySeq[Long], Int])
     // stamp(r) == id: row r is one of the current position's witness rows, rows(0 until t).
     val stamp = Array.fill(n)(-1)
     val rows = new Array[Int](n)
     var id = -1
-    for (b <- w.rhs.indices) {
+    for (j <- 0 until n; b <- w.rhs.indices if w.shared(b, j)) {
       val groups = w.groups(b)
-      val words = (groups.length + 63) / 64
-      val sig = new Array[Long](n * words)
-      val first = scala.collection.mutable.HashMap.empty[ArraySeq[Long], Int]
-      for (j <- 0 until n if w.shared(b, j)) {
-        id += 1
-        var t = 0
-        for (fi <- groups.indices) {
-          val g = groups(fi)
-          var k = g.from(j)
-          while (k < g.until(j)) {
-            val r = g.members(k)
-            if (r != j) {
-              if (stamp(r) != id) {
-                stamp(r) = id; rows(t) = r; t += 1
-                java.util.Arrays.fill(sig, r * words, r * words + words, 0L)
-              }
-              sig(r * words + fi / 64) |= 1L << fi
+      val ws = words(b)
+      id += 1
+      var t = 0
+      for (fi <- groups.indices) {
+        val g = groups(fi)
+        var k = g.from(j)
+        while (k < g.until(j)) {
+          val r = g.members(k)
+          if (r != j) {
+            if (stamp(r) != id) {
+              stamp(r) = id; rows(t) = r; t += 1
+              java.util.Arrays.fill(sig, r * ws, r * ws + ws, 0L)
             }
-            k += 1
+            sig(r * ws + fi / 64) |= 1L << fi
           }
+          k += 1
         }
-        val rep = first.getOrElseUpdate(ArraySeq.unsafeWrapArray(sorted(sig, words, rows, t)), j)
-        repOf += Pos(j, w.rhs(b)) -> Pos(rep, w.rhs(b))
-        if (rep == j) reps += Pos(j, w.rhs(b)) -> w.lower(b, j)
       }
+      classOf(j * inst.arity + w.rhs(b)) = first(b).getOrElseUpdate(ArraySeq.unsafeWrapArray(sorted(sig, ws, rows, t)), {
+        reps += Pos(j, w.rhs(b)) -> w.lower(b, j).mc
+        reps.size - 1
+      })
     }
-    (repOf.result(), reps.result())
+    (classOf, reps.toVector)
   }
 
   /** The signatures of `rows(0 until t)`, `words` words each at row `r`'s
@@ -143,8 +146,8 @@ object Clauses {
     * numbers them.
     */
   private final class Witnesses(inst: Instance, closedFds: Seq[FD], partition: Set[Int] => Partition) {
-    private val byRhs = closedFds.filterNot(_.trivial).groupBy(_.rhs).toArray
-    /** RHS column of FD group `b`. */
+    private val byRhs = closedFds.filterNot(_.trivial).groupBy(_.rhs).toArray.sortBy(_._1)
+    /** RHS column of FD group `b`, ascending in `b`. */
     val rhs: Array[Int] = byRhs.map(_._1)
     /** The LHS partitions of group `b`'s FDs, in FD order. */
     val groups: Array[Array[Partition]] = byRhs.map(_._2.map(f => partition(f.lhs)).toArray)
@@ -200,19 +203,6 @@ object Clauses {
     */
   def forAllPositions(inst: Instance, closedFds: Seq[FD]): Map[Pos, Vector[Set[Pos]]] =
     index(inst, closedFds).map { case (p, l) => p -> l.clauses(inst.arity) }
-
-  /** Clauses over positions lowered as [[index]] lowers witness clauses, with
-    * cell `(row, col)` as `row · arity + col`; every column must be below `arity`.
-    */
-  private[core] def lower(clauses: Seq[Set[Pos]], arity: Int): Lowered = {
-    val number = scala.collection.mutable.HashMap.empty[Int, Int]
-    val cells = Array.newBuilder[Int]
-    val vars = clauses.iterator.map { clause =>
-      clause.iterator.map(c => c.row * arity + c.col).toArray.sorted
-        .map(c => number.getOrElseUpdate(c, { cells += c; number.size })).sorted
-    }.toArray
-    Lowered(MaskedClauses(number.size, vars), cells.result())
-  }
 
   /** Each position's class representative among clause sets over
     * positions: the least `(row, col)` position with the same content key.

@@ -62,11 +62,13 @@ object MonteCarlo {
     * `(row, col)` order: the numbering of `Clauses.index`, so the sampler
     * draws the same streams for both.
     */
-  def mask(clauses: Seq[Set[Pos]]): MaskedClauses =
-    Clauses.lower(clauses, arity(clauses.iterator.flatten)).mc
-
-  /** One more than the largest column of `cells` (1 if there are none). */
-  private def arity(cells: Iterator[Pos]): Int = cells.map(_.col + 1).maxOption.getOrElse(1)
+  def mask(clauses: Seq[Set[Pos]]): MaskedClauses = {
+    val number = scala.collection.mutable.HashMap.empty[Pos, Int]
+    val vars = clauses.iterator.map { clause =>
+      clause.toArray.sortBy(c => (c.row, c.col)).map(number.getOrElseUpdate(_, number.size)).sorted
+    }.toArray
+    MaskedClauses(number.size, vars)
+  }
 
   /** One MC estimate: fraction of sampled deletions that hit every clause. */
   def estimate(mc: MaskedClauses, iters: Long, seed: Long): Double = {
@@ -190,9 +192,10 @@ object MonteCarlo {
 
   /** MC entropy estimates for the given positions: grouped into classes by
     * `Clauses.representatives`, whose representatives get their clause sets
-    * lowered as [[mask]] lowers them and sampled as `PlaqueTest.run` samples
-    * its class representatives. A position with a clause that touches no row
-    * or two rows besides its own is estimated on its own.
+    * lowered by [[mask]] and sampled as `PlaqueTest.run` samples its class
+    * representatives; every member gets its representative's value. A
+    * position with a clause that touches no row or two rows besides its own
+    * is estimated on its own.
     *
     * @return per-position estimates for exactly the keys of `clausesByPos`
     */
@@ -202,9 +205,10 @@ object MonteCarlo {
       iters: Long,
       seed: Long = 42,
   ): Map[Pos, Double] = {
-    val m = arity(clausesByPos.keysIterator ++ clausesByPos.valuesIterator.flatMap(_.iterator.flatten))
-    PlaqueTest.spread(Clauses.representatives(clausesByPos), p => Clauses.lower(clausesByPos(p), m))(
-      sample(_, iters, seed, workers(spark)))
+    val repOf = Clauses.representatives(clausesByPos)
+    val reps = repOf.values.toVector.distinct
+    val value = reps.zip(sample(reps.map(p => p -> mask(clausesByPos(p))), iters, seed, workers(spark))).toMap
+    repOf.map { case (p, rep) => p -> value(rep) }
   }
 
   /** Sampler threads for a session: `defaultParallelism`, at most one per processor. */
@@ -212,14 +216,16 @@ object MonteCarlo {
     math.min(spark.sparkContext.defaultParallelism, Runtime.getRuntime.availableProcessors)
 
   /** MC estimates for lowered clause sets on up to `workers` daemon threads
-    * `plaque-mc-<n>`, joined before the call returns. Each set is laid out
-    * once, as one [[Kernel]] that all its blocks share. Work item `t` is block
-    * `t % nBlocks` of position `t / nBlocks`; workers claim items from one
+    * `plaque-mc-<n>`, joined before the call returns: one value per entry of
+    * `masked`, in its order. A value depends only on its position, clauses,
+    * `iters` and `seed`, not on the order or the workers. Each set is laid
+    * out once, as one [[Kernel]] that all its blocks share. Work item `t` is
+    * block `t % nBlocks` of entry `t / nBlocks`; workers claim items from one
     * counter and store each block's hits in the item's slot. A worker's
     * exception stops the others and is rethrown; a position with a block
     * that never reported is an `IllegalStateException`, never a silent 0.
     */
-  private[core] def sample(masked: Map[Pos, MaskedClauses], iters: Long, seed: Long, workers: Int): Map[Pos, Double] = {
+  private[core] def sample(masked: Seq[(Pos, MaskedClauses)], iters: Long, seed: Long, workers: Int): Array[Double] = {
     require(iters > 0, s"iteration count must be positive, got $iters")
     val cells = masked.toArray
     val kernels = cells.map { case (_, mc) => new Kernel(mc) }
@@ -244,11 +250,11 @@ object MonteCarlo {
     try { threads.foreach(_.start()); threads.foreach(_.join()) }
     finally { next.set(hit.length); threads.foreach(_.join()) }
     Option(failure.get).foreach(e => throw e)
-    cells.indices.map { pi =>
+    Array.tabulate(cells.length) { pi =>
       val blocks = hit.slice(pi * nBlocks, (pi + 1) * nBlocks)
       if (blocks.contains(-1L))
         throw new IllegalStateException(s"position ${cells(pi)._1}: ${blocks.count(_ < 0)} of $nBlocks MC blocks missing")
-      cells(pi)._1 -> blocks.sum.toDouble / iters
-    }.toMap
+      blocks.sum.toDouble / iters
+    }
   }
 }

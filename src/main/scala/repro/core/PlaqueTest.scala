@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.immutable.VectorMap
-
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** End-to-end "plaque test": per-cell entropy matrix for a relation instance
@@ -15,14 +13,16 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   */
 object PlaqueTest {
 
-  /** Entropy matrix plus the artefacts needed by the benchmarks.
+  /** Entropy matrix plus the artefacts needed by the benchmarks, held as one
+    * class id per cell and one value per class (`INF` depends only on the
+    * clause shape, §3.1); every derived view is built from these when read.
     *
     * @param inst       the analyzed instance
-    * @param entropies  `entropies(row)(col)` — 1.0 for unique cells
-    * @param nonUnique  positions with entropy < 1 (Prop. 3.2 complement)
-    * @param classes    clause-shape classes of `nonUnique`, one estimate each
-    *                   (`Clauses.classes`: equal FD column, equal multiset
-    *                   of witness-row signatures)
+    * @param classOf    the clause-shape class of cell `row · arity + col`, an
+    *                   index into `values`, or −1 for a unique cell (`INF = 1`,
+    *                   Prop. 3.2); classes as in `Clauses.classes`: equal FD
+    *                   column, equal multiset of witness-row signatures
+    * @param values     one estimate per class, that of its representative
     * @param closedFds  the closure of the FDs of `F` whose LHS is not a key
     *                   of `inst` (see [[pipeline]]); it may hold key-LHS
     *                   resolvents, which have no witness row either
@@ -30,24 +30,40 @@ object PlaqueTest {
     */
   final case class Result(
       inst: Instance,
-      entropies: Vector[Vector[Double]],
-      nonUnique: Set[Pos],
-      classes: Int,
+      classOf: Array[Int],
+      values: Array[Double],
       closedFds: Vector[FD],
       iterations: Long,
   ) {
-    def entropy(p: Pos): Double = entropies(p.row)(p.col)
+    /** Entropy of cell `row · arity + col`. */
+    private def cell(i: Int): Double = if (classOf(i) < 0) 1.0 else values(classOf(i))
+
+    def entropy(p: Pos): Double = {
+      require(p.col >= 0 && p.col < inst.arity, s"$p: no column ${p.col} among ${inst.arity}")
+      cell(p.row * inst.arity + p.col)
+    }
+
+    /** `entropies(row)(col)` — 1.0 for unique cells. */
+    lazy val entropies: Vector[Vector[Double]] = Vector.tabulate(inst.nRows, inst.arity)((j, k) => cell(j * inst.arity + k))
+
+    /** Positions with entropy < 1 (Prop. 3.2 complement). */
+    lazy val nonUnique: Set[Pos] = classOf.indices.filter(classOf(_) >= 0).map(i => Pos(i / inst.arity, i % inst.arity)).toSet
+
+    /** Number of clause-shape classes, one estimate each. */
+    def classes: Int = values.length
 
     def cells: Int = inst.nCells
 
     private[core] def byPosition: Map[Pos, Double] = inst.positions.map(p => p -> entropy(p)).toMap
 
+    /** Entropies of column `k`, row by row. */
+    private def column(k: Int): Iterator[Double] = Iterator.range(k, cells, inst.arity).map(cell)
+
     /** Smallest entropy in the matrix (1.0 for a redundancy-free instance). */
-    def minEntropy: Double =
-      entropies.iterator.flatMap(_.iterator).foldLeft(1.0)(math.min)
+    def minEntropy: Double = values.foldLeft(1.0)(math.min)
 
     /** Number of cells with entropy below 1 (the colored cells of a heat map). */
-    def cellsBelowOne: Int = entropies.iterator.flatMap(_.iterator).count(_ < 1.0)
+    def cellsBelowOne: Int = classOf.count(c => c >= 0 && values(c) < 1.0)
 
     /** Fraction of cells with entropy exactly 1 (Fig. 4's headline). */
     def fractionOnes: Double = (cells - cellsBelowOne).toDouble / cells
@@ -56,16 +72,13 @@ object PlaqueTest {
       * plaque"; RQ1 reports these per dataset).
       */
     def plaqueColumns: Vector[String] =
-      inst.attrs.indices.filter(k => entropies.exists(row => row(k) < 1.0)).map(inst.attrs).toVector
+      inst.attrs.indices.filter(k => column(k).exists(_ < 1.0)).map(inst.attrs).toVector
 
     /** Attribute names whose cells are all (approximately) zero entropy —
       * the "no informational value" columns of echocardiogram/NCVoter.
       */
     def zeroColumns(tol: Double = 0.05): Vector[String] =
-      inst.attrs.indices
-        .filter(k => entropies.forall(row => row(k) <= tol))
-        .map(inst.attrs)
-        .toVector
+      inst.attrs.indices.filter(k => column(k).forall(_ <= tol)).map(inst.attrs).toVector
 
     /** Histogram over entropy values: bucket i covers
       * `[i*width, (i+1)*width)`, the last bucket additionally includes 1.0.
@@ -73,20 +86,14 @@ object PlaqueTest {
     def histogram(width: Double = 0.05): Vector[(Double, Int)] = {
       val nBuckets = math.ceil(1.0 / width).toInt
       val counts = new Array[Int](nBuckets)
-      for (row <- entropies; e <- row) {
-        val b = math.min(nBuckets - 1, (e / width).toInt)
-        counts(b) += 1
-      }
+      for (i <- 0 until cells) counts(math.min(nBuckets - 1, (cell(i) / width).toInt)) += 1
       Vector.tabulate(nBuckets)(i => (i * width, counts(i)))
     }
 
     /** Long-format DataFrame `(row_id, attr, entropy)` for downstream SQL. */
     def toDF(spark: SparkSession): DataFrame = {
       import spark.implicits._
-      val rows = for {
-        j <- inst.rows.indices
-        k <- inst.attrs.indices
-      } yield (j.toLong, inst.attrs(k), entropies(j)(k))
+      val rows = (0 until cells).map(i => ((i / inst.arity).toLong, inst.attrs(i % inst.arity), cell(i)))
       rows.toDF("row_id", "attr", "entropy")
     }
   }
@@ -113,7 +120,7 @@ object PlaqueTest {
     * representative (a class's least position) and its union size.
     */
   def runExact(inst: Instance, fds: Seq[FD]): Result =
-    pipeline(inst, fds, 0L)(_.map { case (p, mc) => p -> ExactEntropy.viaClauses(p, mc) })
+    pipeline(inst, fds, 0L)(_.map { case (p, mc) => ExactEntropy.viaClauses(p, mc) }.toArray)
 
   /** Convenience entry point from a DataFrame with name-level FDs. */
   def fromDataFrame(
@@ -133,10 +140,10 @@ object PlaqueTest {
     * clause-shape class once (`Clauses.classes`, keyed off the same memoized
     * [[Partition]] as the check, so each LHS is grouped once), lower the
     * witness clauses (§3.1) of each class's least `(row, col)` position only,
-    * estimate those, copy each value to its class, and set `INF = 1`
-    * elsewhere (Prop. 3.2).
-    * `estimate` receives only non-empty clause sets, in ascending `(row, col)`
-    * order, and must return a value for each of its keys.
+    * and estimate those. `estimate` receives the representatives' non-empty
+    * clause sets in ascending `(row, col)` order and must return one value
+    * per entry, in the same order; [[Result]] gives each class member its
+    * representative's value and every other position `INF = 1` (Prop. 3.2).
     *
     * The clause reformulation assumes `I ⊨ F` (hence `I ⊨ F*`), so an FD
     * that does not hold is rejected ([[FDs.requireHolds]]).
@@ -151,25 +158,11 @@ object PlaqueTest {
     * The 64-column limit of [[FDs.closure]] binds only the non-key FDs.
     */
   private[core] def pipeline(inst: Instance, fds: Seq[FD], iterations: Long)(
-      estimate: Map[Pos, MonteCarlo.MaskedClauses] => Map[Pos, Double]): Result = {
+      estimate: Seq[(Pos, MonteCarlo.MaskedClauses)] => Array[Double]): Result = {
     val partition = Partition.of(inst)
     FDs.requireHolds(inst, fds, partition)
     val closed = FDs.closure(fds.filterNot(f => partition(f.lhs).key))
-    val (repOf, reps) = Clauses.classes(inst, closed, partition)
-    val below = spread(repOf, reps)(estimate)
-    val matrix = Vector.tabulate(inst.nRows, inst.arity)((j, k) => below.getOrElse(Pos(j, k), 1.0))
-    Result(inst, matrix, below.keySet, reps.size, closed, iterations)
-  }
-
-  /** `estimate` gets one representative per class with its own clauses
-    * (`lowered`, read for representatives only), in ascending `(row, col)`
-    * order (`INF` and the law of its MC estimate depend only on the shape),
-    * and every member of `repOf` gets its representative's value.
-    */
-  private[core] def spread(repOf: Map[Pos, Pos], lowered: Pos => Clauses.Lowered)(
-      estimate: Map[Pos, MonteCarlo.MaskedClauses] => Map[Pos, Double]): Map[Pos, Double] = {
-    val reps = repOf.valuesIterator.distinct.toSeq.sortBy(p => (p.row, p.col))
-    val values = estimate(VectorMap.from(reps.map(p => p -> lowered(p).mc)))
-    repOf.map { case (p, rep) => p -> values(rep) }
+    val (classOf, reps) = Clauses.classes(inst, closed, partition)
+    Result(inst, classOf, estimate(reps), closed, iterations)
   }
 }

@@ -30,10 +30,10 @@ object Uniqueness {
     * name-level FDs, in one pass over `df` with one window count per distinct
     * non-empty LHS. An empty-LHS FD `∅ → B` puts all rows in one group, so it
     * is decided by one row count instead of a window over a single partition:
-    * every row is non-unique iff there are at least two.
+    * every row is non-unique iff there are at least two. Without a
+    * non-trivial FD (also for an empty list) the frame is empty.
     */
   def nonUniqueDF(df: DataFrame, fds: Seq[(Seq[String], String)], idCol: String): DataFrame = {
-    require(fds.nonEmpty, "no FDs given")
     val nonTrivial = fds.filterNot { case (l, r) => l.contains(r) }
     if (nonTrivial.isEmpty) return df.select(col(idCol), lit("").as("attr")).limit(0) // nothing non-unique
     lazy val manyRows = df.limit(2).count() > 1

@@ -23,8 +23,10 @@ object Fig4Exp {
 
   def format(h: Histogram): String = {
     val r = h.result
-    val rows = r.histogram(BucketWidth).collect { case (lo, n) if n > 0 =>
-      Seq(f"[$lo%.2f, ${lo + BucketWidth}%.2f)", n.toString, "#" * math.max(1, math.ceil(40.0 * n / r.cells).toInt))
+    val buckets = r.histogram(BucketWidth)
+    val rows = buckets.zipWithIndex.collect { case ((lo, n), i) if n > 0 =>
+      val close = if (i == buckets.size - 1) "]" else ")" // the last bucket also holds 1.0
+      Seq(f"[$lo%.2f, ${lo + BucketWidth}%.2f$close", n.toString, "#" * math.max(1, math.ceil(40.0 * n / r.cells).toInt))
     }
     Experiments.formatTable(Seq("entropy bucket", "cells", ""), rows) +
       f"\n\ncells=${r.cells} fractionOnes=${r.fractionOnes}%.3f fraction<0.9=${h.fractionBelow09}%.3f min=${r.minEntropy}%.3f"

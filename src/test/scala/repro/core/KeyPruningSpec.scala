@@ -20,12 +20,10 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
 
   /** The plaque pipeline with the closure of all of `F`, as before key pruning. */
   private def fullClosure(inst: Instance, fds: Seq[FD])(
-      estimate: Map[Pos, MonteCarlo.MaskedClauses] => Map[Pos, Double]): Vector[Vector[Double]] = {
+      estimate: Seq[(Pos, MonteCarlo.MaskedClauses)] => Array[Double]): Vector[Vector[Double]] = {
     FDs.requireHolds(inst, fds)
-    val index = Clauses.index(inst, FDs.closure(fds))
-    val repOf = Clauses.representatives(index.map { case (p, l) => p -> l.clauses(inst.arity) })
-    val below = PlaqueTest.spread(repOf, index)(estimate)
-    Vector.tabulate(inst.nRows, inst.arity)((j, k) => below.getOrElse(Pos(j, k), 1.0))
+    val (classOf, reps) = Clauses.classes(inst, FDs.closure(fds), Partition.of(inst))
+    PlaqueTest.Result(inst, classOf, estimate(reps), Vector.empty, 0L).entropies
   }
 
   private def assertSameIndex(a: Map[Pos, Clauses.Lowered], b: Map[Pos, Clauses.Lowered], at: String): Unit = {
@@ -68,7 +66,7 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
     var refused = 0
     for ((name, inst, fds) <- TestGen.pipelineCases) {
       def message(t: Try[Vector[Vector[Double]]]) = t.toEither.left.map(_.getMessage)
-      val exact = Try(fullClosure(inst, fds)(_.map { case (p, mc) => p -> ExactEntropy.viaClauses(p, mc) }))
+      val exact = Try(fullClosure(inst, fds)(_.map { case (p, mc) => ExactEntropy.viaClauses(p, mc) }.toArray))
       assert(message(Try(PlaqueTest.runExact(inst, fds).entropies)) == message(exact), name)
       if (exact.isFailure) refused += 1
       val mc = fullClosure(inst, fds)(MonteCarlo.sample(_, 3000, 9, 1))
@@ -92,7 +90,7 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
     assert(pruned == Vector(ax, bdy, FD(Set(0, 1, 3, 4), 5)))
     assert(FDs.closure(fds) == Vector(ax, ad, bdy))
     assert(PlaqueTest.runExact(inst, fds).closedFds == pruned)
-    val exact = fullClosure(inst, fds)(_.map { case (p, mc) => p -> ExactEntropy.viaClauses(p, mc) })
+    val exact = fullClosure(inst, fds)(_.map { case (p, mc) => ExactEntropy.viaClauses(p, mc) }.toArray)
     assert(PlaqueTest.runExact(inst, fds).entropies == exact)
   }
 

@@ -308,12 +308,12 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
         (s"seed $seed", inst, fds)
       }
     for ((name, inst, fds) <- cases) {
-      val masked = Clauses.index(inst, FDs.closure(fds)).map { case (p, l) => p -> l.mc }
+      val masked = Clauses.index(inst, FDs.closure(fds)).toSeq.map { case (p, l) => p -> l.mc }
       for (iters <- Seq(1L, 64L, 25000L, 25001L, 180001L)) {
-        val one = MonteCarlo.sample(masked, iters, 11, 1)
-        assert(one.keySet == masked.keySet, s"$name, $iters iterations")
+        val one = MonteCarlo.sample(masked, iters, 11, 1).toSeq
+        assert(one.size == masked.size, s"$name, $iters iterations")
         for (w <- Seq(2, 3, 8))
-          assert(MonteCarlo.sample(masked, iters, 11, w) == one, s"$name, $iters iterations, $w workers")
+          assert(MonteCarlo.sample(masked, iters, 11, w).toSeq == one, s"$name, $iters iterations, $w workers")
       }
     }
     assert(samplerThreads().isEmpty)
@@ -322,7 +322,7 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
   test("a worker's exception is rethrown and leaves no sampler thread alive") {
     val good = MonteCarlo.mask(Vector(Set(Pos(0, 0), Pos(1, 0))))
     val bad = MonteCarlo.MaskedClauses(2, Array(Array(0, 2))) // var 2 ≥ nVars
-    val masked = Map(Pos(0, 0) -> good, Pos(1, 1) -> bad, Pos(2, 2) -> good)
+    val masked = Seq(Pos(0, 0) -> good, Pos(1, 1) -> bad, Pos(2, 2) -> good)
     for (w <- Seq(1, 3, 8)) {
       val call = Future(MonteCarlo.sample(masked, 180001, 5, w))(ExecutionContext.global)
       val e = intercept[ArrayIndexOutOfBoundsException](Await.result(call, 30.seconds))

@@ -20,6 +20,9 @@ class PlaqueTestSpec extends AnyFunSuite with SparkSpec {
       Vector(1.0, 1.0, 1.0, 1.0),
       Vector(1.0, 1.0, 0.875, 1.0),
     ))
+    assert(ex34.positions.forall(p => res.entropy(p) == res.entropies(p.row)(p.col)))
+    // A column outside the instance must not alias a cell of the next or previous row.
+    for (p <- Seq(Pos(0, 4), Pos(1, -1))) assertThrows[IllegalArgumentException](res.entropy(p))
   }
 
   test("runExact reports non-unique positions") {

@@ -34,22 +34,32 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     lowered.keys.toVector.sortBy(p => (p.row, p.col)).map(p => p -> shape(p, lowered(p)).fold(p)(first.getOrElseUpdate(_, p))).toMap
   }
 
+  /** `clauses` lowered by `MonteCarlo.mask`, with clause cell `v` as `row · arity + col`. */
+  private def lowered(clauses: Seq[Set[Pos]], arity: Int): Clauses.Lowered = {
+    val cells = clauses.flatMap(_.toSeq.sortBy(p => (p.row, p.col))).distinct.map(p => p.row * arity + p.col)
+    Clauses.Lowered(MonteCarlo.mask(clauses), cells.toArray)
+  }
+
   /** `Clauses.classes` against the `TestGen.shapes` oracle: the same
-    * representative for every position, and each representative lowered
-    * element for element as `Clauses.index` lowers it. Returns the classes'
-    * sizes.
+    * representative for every position, a class id exactly on the non-unique
+    * cells, the representatives in ascending `(row, col)` order at their own
+    * class ids, and each representative lowered element for element as
+    * `Clauses.index` lowers it. Returns the classes' sizes.
     */
   private def assertClasses(inst: Instance, closed: Seq[FD], at: String): Seq[Int] = {
     val index = Clauses.index(inst, closed)
-    val (repOf, reps) = Clauses.classes(inst, closed, Partition.of(inst))
-    assert(repOf == shapeReps(index, inst.arity), at)
-    assert(reps.keySet == repOf.values.toSet, at)
-    for ((p, l) <- reps) {
-      val full = index(p)
-      assert(l.mc.nVars == full.mc.nVars && l.cells.toSeq == full.cells.toSeq, s"$at, $p")
-      assert(l.mc.vars.map(_.toSeq).toSeq == full.mc.vars.map(_.toSeq).toSeq, s"$at, $p")
+    val (classOf, reps) = Clauses.classes(inst, closed, Partition.of(inst))
+    val cell = (p: Pos) => p.row * inst.arity + p.col
+    val nonUnique = Uniqueness.nonUniquePositions(inst, closed)
+    assert(inst.positions.forall(p => (classOf(cell(p)) >= 0) == nonUnique(p)), at)
+    assert(reps.map(_._1) == reps.map(_._1).sortBy(p => (p.row, p.col)), at)
+    assert(reps.indices.forall(i => classOf(cell(reps(i)._1)) == i), at)
+    assert(nonUnique.map(p => p -> reps(classOf(cell(p)))._1).toMap == shapeReps(index, inst.arity), at)
+    for ((p, mc) <- reps) {
+      assert(mc.nVars == index(p).mc.nVars, s"$at, $p")
+      assert(mc.vars.map(_.toSeq).toSeq == index(p).mc.vars.map(_.toSeq).toSeq, s"$at, $p")
     }
-    repOf.values.groupBy(identity).values.map(_.size).toSeq
+    classOf.filter(_ >= 0).groupBy(identity).values.map(_.length).toSeq
   }
 
   /** The closure `PlaqueTest.pipeline` builds: of the FDs whose LHS is not a key. */
@@ -106,7 +116,7 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
       Pos(32, 0) -> Vector(c(32, Seq(64), 33, Seq(0, 64))),
     )
     val repOf = Clauses.representatives(clauses)
-    assert(repOf == shapeReps(clauses.map { case (p, cls) => p -> Clauses.lower(cls, 66) }, 66))
+    assert(repOf == shapeReps(clauses.map { case (p, cls) => p -> lowered(cls, 66) }, 66))
     val merged = Map(Pos(11, 2) -> Pos(10, 0), Pos(18, 0) -> Pos(12, 0), Pos(17, 0) -> Pos(14, 0), Pos(32, 0) -> Pos(28, 0))
     assert(repOf == clauses.keys.map(p => p -> merged.getOrElse(p, p)).toMap)
   }
@@ -131,8 +141,8 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     assert(e.getMessage == "requirement failed: clause-cell union of position Pos(0,0) has 249 cells, " +
       "more than the 26 exact enumeration allows")
     val (_, reps) = Clauses.classes(prep.inst, nonKeyClosure(prep.inst, prep.fds), Partition.of(prep.inst))
-    val over = reps.filter(_._2.mc.nVars > 26).keys.toSeq.sortBy(p => (p.row, p.col))
-    assert(over.size == 18 && over.head == Pos(0, 0) && reps(Pos(0, 0)).mc.nVars == 249)
+    val over = reps.filter(_._2.nVars > 26)
+    assert(over.size == 18 && over.head._1 == Pos(0, 0) && over.head._2.nVars == 249)
   }
 
   // Seeds 297, 410, 647 and 779 hold classes that a key without the rows
@@ -167,7 +177,7 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
       assert(res.classes == cls.size, name)
       for (members <- cls) {
         val rep = members.head
-        val alone = MonteCarlo.sample(Map(rep -> index(rep).mc), 30001, 3, 1)(rep)
+        val alone = MonteCarlo.sample(Seq(rep -> index(rep).mc), 30001, 3, 1).head
         assert(res.entropy(rep) == alone, s"$name: representative $rep")
         for (p <- members.tail) assert(res.entropy(p) == res.entropy(rep), s"$name: $p vs representative $rep")
       }
@@ -184,7 +194,7 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
       Pos(8, 0) -> Vector(Set(Pos(8, 1), Pos(9, 0), Pos(9, 1))),
     )
     val est = MonteCarlo.estimateSpark(spark, clauses, 20000, 5)
-    val alone = clauses.map { case (p, cls) => p -> MonteCarlo.sample(Map(p -> MonteCarlo.mask(cls)), 20000, 5, 1)(p) }
+    val alone = clauses.map { case (p, cls) => p -> MonteCarlo.sample(Seq(p -> MonteCarlo.mask(cls)), 20000, 5, 1).head }
     for (p <- Seq(Pos(0, 0), Pos(3, 0), Pos(6, 0))) assert(est(p) == alone(p), s"at $p")
     assert(est(Pos(0, 0)) != est(Pos(3, 0)), "the two-row positions were merged")
     assert(est(Pos(8, 0)) == est(Pos(6, 0)))
@@ -210,7 +220,7 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     val repOf = Clauses.representatives(Clauses.forAllPositions(inst, fds))
     assert(repOf == shapeReps(index, 70))
     assert(repOf.values.toSet == Set(Pos(0, 0), Pos(2, 0)))
-    val exact = PlaqueTest.spread(repOf, index)(_.map { case (p, mc) => p -> ExactEntropy.viaClauses(p, mc) })
+    val exact = repOf.map { case (p, rep) => p -> ExactEntropy.viaClauses(rep, index(rep).mc) }
     assert(assertClasses(inst, fds, "70 columns") == Seq(2, 2))
     assert(exact == Map(Pos(0, 0) -> 0.875, Pos(1, 0) -> 0.875, Pos(2, 0) -> 31.0 / 32, Pos(3, 0) -> 31.0 / 32))
     val est = MonteCarlo.estimateSpark(spark, Clauses.forAllPositions(inst, fds), 20000, 5)
@@ -220,7 +230,7 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
   test("the five mimics have 6 / 4 / 22 / 166 / 3 clause-shape classes among 119 / 300 / 932 / 770 / 150 non-unique cells") {
     val counts = Fig3Exp.DatasetNames.map { d =>
       val prep = Experiments.prepare(spark, d)
-      val res = PlaqueTest.pipeline(prep.inst, prep.fds, 0L)(_.map { case (p, _) => p -> 0.0 })
+      val res = PlaqueTest.pipeline(prep.inst, prep.fds, 0L)(reps => new Array[Double](reps.size))
       assert(assertClasses(prep.inst, nonKeyClosure(prep.inst, prep.fds), d).size == res.classes, d)
       (res.nonUnique.size, res.classes)
     }

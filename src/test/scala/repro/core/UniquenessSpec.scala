@@ -99,8 +99,10 @@ class UniquenessSpec extends AnyFunSuite with SparkSpec with AdaptiveSparkPlanHe
       .map(r => (r.getLong(0), r.getString(1)))
       .toSet
     val trivial = Seq(Seq("planet") -> "planet", Seq("name", "notes") -> "notes")
-    assert(local(trivial).isEmpty && dist(trivial).isEmpty)
-    assert(Uniqueness.nonUniqueCountsDF(satDf, trivial, "id").count() == 0)
+    for (fds <- Seq(Nil, trivial)) {
+      assert(local(fds).isEmpty && dist(fds).isEmpty, fds)
+      assert(Uniqueness.nonUniqueCountsDF(satDf, fds, "id").count() == 0, fds)
+    }
     val mixed = trivial ++ satFds
     assert(local(mixed).nonEmpty)
     assert(dist(mixed) == local(mixed))

@@ -62,6 +62,8 @@ class ExpSmokeSpec extends AnyFunSuite with SparkSpec {
     assert(h.result.histogram(0.05).map(_._2).sum == 1200)
     assert(h.result.fractionOnes > 0.85)
     assert(Fig4Exp.format(h).contains("fractionOnes"))
+    // Entropy 1.0 falls in the last bucket, so its label closes the interval.
+    assert(Fig4Exp.format(h).contains("[0.95, 1.00]") && !Fig4Exp.format(h).contains("1.00)"))
   }
 
   test("Fig5Exp produces a complete timing grid (tiny)") {

@@ -13,8 +13,9 @@ final case class FD(lhs: Set[Int], rhs: Int) {
     */
   def trivial: Boolean = lhs.contains(rhs)
 
+  /** `A, C -> D` by attribute name; an empty LHS reads `∅ -> D`. */
   def render(attrs: Seq[String]): String =
-    s"${lhs.toSeq.sorted.map(attrs).mkString(", ")} -> ${attrs(rhs)}"
+    s"${if (lhs.isEmpty) "∅" else lhs.toSeq.sorted.map(attrs).mkString(", ")} -> ${attrs(rhs)}"
 }
 
 /** Construction, checking and implication-closure utilities for FD sets.

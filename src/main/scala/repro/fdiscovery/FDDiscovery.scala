@@ -9,8 +9,8 @@ import repro.scale.WitnessStats
   *
   * The paper feeds its plaque test with left-reduced FDs with a single RHS
   * attribute, discovered by Metanome [11]. This module implements the same
-  * contract: level-wise (apriori-style) discovery of *minimal* FDs up to a
-  * configurable LHS size.
+  * contract: level-wise (apriori-style) discovery of *minimal* FDs from the
+  * empty LHS up to a configurable LHS size, as TANE's lattice starts at `∅`.
   *
   *  - [[discoverLocal]] runs over an in-memory [[Instance]] (the evaluation
   *    datasets have ≤ 150 rows — exactly the paper's setting);
@@ -21,18 +21,17 @@ import repro.scale.WitnessStats
   */
 object FDDiscovery {
 
-  /** All minimal FDs with `|LHS| ∈ [1, maxLhs]` that hold in `inst`.
+  /** All minimal FDs with `|LHS| ∈ [0, maxLhs]` that hold in `inst`.
     *
-    * Constant columns are reported as `A → B` for every other attribute `A`
-    * (the left-reduced unary form a profiler emits for a single-valued
-    * domain; the paper's echocardiogram/NCVoter discussion relies on it).
+    * The search starts at the empty LHS, so a constant column `B` yields the
+    * single minimal FD `∅ → B`, and no `A → B` for it.
     */
   def discoverLocal(inst: Instance, maxLhs: Int = 2): Vector[FD] = {
     val violation = FDs.violations(inst)
     inst.attrs.indices.toVector.flatMap { rhs =>
       val others = inst.attrs.indices.filterNot(_ == rhs)
       // Level by level, the candidates of size `l` that contain no smaller FD's LHS.
-      (1 to maxLhs).foldLeft(Vector.empty[Set[Int]]) { (minimal, l) =>
+      (0 to maxLhs).foldLeft(Vector.empty[Set[Int]]) { (minimal, l) =>
         minimal ++ others.combinations(l).map(_.toSet)
           .filter(c => !minimal.exists(_.subsetOf(c)) && violation(FD(c, rhs)).isEmpty)
       }.map(FD(_, rhs))

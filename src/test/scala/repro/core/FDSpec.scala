@@ -24,6 +24,13 @@ class FDSpec extends AnyFunSuite {
     assert(FD(Set(0, 2), 3).render(attrs) == "A, C -> D")
   }
 
+  test("render prints an empty LHS as ∅, also in requireHolds' error") {
+    assert(FD(Set.empty, 1).render(attrs) == "∅ -> B")
+    val inst = Instance(Vector("A", "B"), Vector(Vector(1, 5), Vector(2, 6)))
+    val e = intercept[IllegalArgumentException](FDs.requireHolds(inst, Seq(FD(Set.empty, 1))))
+    assert(e.getMessage == "FD ∅ -> B does not hold: rows 0 and 1 agree on its LHS but differ on B")
+  }
+
   test("minimize drops trivial FDs") {
     assert(TestGen.minimizeFds(Seq(FD(Set(1), 1))).isEmpty)
   }

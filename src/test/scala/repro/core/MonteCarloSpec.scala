@@ -332,8 +332,8 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("run samples on daemon threads plaque-mc-<n>, at most one per core, and none outlives it") {
-    // ncvoter's 166 clause shapes at 1M iterations sample for hundreds of
-    // milliseconds, and the watcher polls every millisecond from before the run.
+    // ncvoter's 19 clause-shape classes at 10M iterations sample for hundreds
+    // of milliseconds, and the watcher polls every millisecond from before the run.
     val nc = Experiments.prepare(spark, "ncvoter")
     val seen = scala.collection.mutable.Set.empty[(String, Boolean)]
     val polling = new java.util.concurrent.CountDownLatch(1)
@@ -345,7 +345,7 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
         Thread.sleep(1)
       })
     watcher.start()
-    try { polling.await(); PlaqueTest.run(spark, nc.inst, nc.fds, 1000000, 1) }
+    try { polling.await(); PlaqueTest.run(spark, nc.inst, nc.fds, 10000000, 1) }
     finally { done = true; watcher.join() }
     assert(samplerThreads().isEmpty)
     val cores = math.min(spark.sparkContext.defaultParallelism, Runtime.getRuntime.availableProcessors)

@@ -135,14 +135,14 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  test("runExact refuses echocardiogram at the least of its 18 class representatives over 26 cells") {
+  test("runExact refuses echocardiogram at the least of its 13 class representatives over 26 cells") {
     val prep = Experiments.prepare(spark, "echocardiogram")
     val e = intercept[IllegalArgumentException](PlaqueTest.runExact(prep.inst, prep.fds))
-    assert(e.getMessage == "requirement failed: clause-cell union of position Pos(0,0) has 249 cells, " +
+    assert(e.getMessage == "requirement failed: clause-cell union of position Pos(0,0) has 131 cells, " +
       "more than the 26 exact enumeration allows")
     val (_, reps) = Clauses.classes(prep.inst, nonKeyClosure(prep.inst, prep.fds), Partition.of(prep.inst))
     val over = reps.filter(_._2.nVars > 26)
-    assert(over.size == 18 && over.head._1 == Pos(0, 0) && over.head._2.nVars == 249)
+    assert(over.size == 13 && over.head._1 == Pos(0, 0) && over.head._2.nVars == 131)
   }
 
   // Seeds 297, 410, 647 and 779 hold classes that a key without the rows
@@ -227,13 +227,13 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     for ((p, e) <- exact) assert(math.abs(est(p) - e) < 0.02, s"at $p: ${est(p)} vs $e")
   }
 
-  test("the five mimics have 6 / 4 / 22 / 166 / 3 clause-shape classes among 119 / 300 / 932 / 770 / 150 non-unique cells") {
+  test("the five mimics have 6 / 4 / 17 / 19 / 3 clause-shape classes among 119 / 300 / 932 / 770 / 150 non-unique cells") {
     val counts = Fig3Exp.DatasetNames.map { d =>
       val prep = Experiments.prepare(spark, d)
       val res = PlaqueTest.pipeline(prep.inst, prep.fds, 0L)(reps => new Array[Double](reps.size))
       assert(assertClasses(prep.inst, nonKeyClosure(prep.inst, prep.fds), d).size == res.classes, d)
       (res.nonUnique.size, res.classes)
     }
-    assert(counts == Seq((119, 6), (300, 4), (932, 22), (770, 166), (150, 3)))
+    assert(counts == Seq((119, 6), (300, 4), (932, 17), (770, 19), (150, 3)))
   }
 }

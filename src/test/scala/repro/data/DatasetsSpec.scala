@@ -265,11 +265,11 @@ class DatasetsSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  test("ncvoter: the discovered FDs are already closed (1,734 -> 1,734)") {
+  test("ncvoter: the discovered FDs are already closed (1,717 -> 1,717)") {
     // The pairwise fixpoint takes seconds here, so compare with the known fact.
     val found = prepared("ncvoter")
     val closed = FDs.closure(found)
-    assert(closed.size == 1734)
+    assert(closed.size == 1717)
     assert(closed.toSet == TestGen.minimizeFds(found).toSet)
   }
 

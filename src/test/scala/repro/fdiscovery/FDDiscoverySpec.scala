@@ -30,18 +30,21 @@ class FDDiscoverySpec extends AnyFunSuite with SparkSpec {
 
   test("discoverLocal finds A -> C on Example 3.4") {
     val fds = FDDiscovery.discoverLocal(ex34, maxLhs = 1)
-    assert(fds.contains(FD(Set(0), 2)))
+    // C is constant, so the minimal FD behind A -> C is ∅ -> C.
+    assert(fds.filter(_.rhs == 2) == Vector(FD(Set.empty, 2)))
   }
 
   test("discoverLocal reports constant columns as determined by every attribute") {
     val fds = FDDiscovery.discoverLocal(ex34, maxLhs = 1)
-    // B is constant: A->B, C->B, D->B all hold.
-    assert(fds.count(_.rhs == 1) == 3)
+    // B and C are constant: ∅ -> B and ∅ -> C, which every attribute's FD
+    // extends, are their only FDs.
+    assert(fds.filter(f => f.rhs == 1 || f.rhs == 2) == Vector(FD(Set.empty, 1), FD(Set.empty, 2)))
+    assert(fds.filter(_.lhs.isEmpty).map(_.rhs) == Vector(1, 2))
   }
 
   test("discoverLocal is minimal: no FD has a determining proper subset") {
     val fds = FDDiscovery.discoverLocal(ex34, maxLhs = 2)
-    for (f <- fds; sub <- f.lhs.subsets() if sub.size < f.lhs.size && sub.nonEmpty)
+    for (f <- fds; sub <- f.lhs.subsets() if sub.size < f.lhs.size)
       assert(!FDDiscovery.holdsLocal(ex34, sub, f.rhs), s"$f has determining subset $sub")
   }
 
@@ -58,12 +61,57 @@ class FDDiscoverySpec extends AnyFunSuite with SparkSpec {
       val cols = inst.attrs.indices.toVector
       val expected = for {
         rhs <- cols
-        l <- 1 to maxLhs
+        l <- 0 to maxLhs
         lhs <- cols.filterNot(_ == rhs).combinations(l).map(_.toSet)
-        if holds(lhs, rhs) && !lhs.subsets().exists(s => s.nonEmpty && s != lhs && holds(s, rhs))
+        if holds(lhs, rhs) && !lhs.subsets().exists(s => s != lhs && holds(s, rhs))
       } yield FD(lhs, rhs)
       assert(FDDiscovery.discoverLocal(inst, maxLhs) == expected, d)
     }
+  }
+
+  private def constant(inst: Instance, b: Int): Boolean = inst.rows.map(_(b)).distinct.size <= 1
+
+  test("discoverLocal ≡ brute-force minimal FDs over LHS sizes 0..maxLhs, ∅ -> B exactly for constant columns (1,200 instances)") {
+    var constants = 0
+    for {
+      seed <- 0L until 300L
+      (wide, _) = TestGen.instanceWithWideFds(seed)
+      inst <- Seq(wide, Instance(wide.attrs, wide.rows.flatMap(r => Vector(r, r))))
+      maxLhs <- Seq(1, 2)
+    } {
+      def holds(lhs: Set[Int], rhs: Int) = TestGen.referenceViolation(inst, FD(lhs, rhs)).isEmpty
+      val expected = for {
+        rhs <- inst.attrs.indices
+        lhs <- (inst.attrs.indices.toSet - rhs).subsets() if lhs.size <= maxLhs
+        if holds(lhs, rhs) && !lhs.subsets().exists(s => s != lhs && holds(s, rhs))
+      } yield FD(lhs, rhs)
+      val fds = FDDiscovery.discoverLocal(inst, maxLhs)
+      assert(fds.distinct == fds && fds.toSet == expected.toSet, s"seed $seed, maxLhs $maxLhs: $inst")
+      for (b <- inst.attrs.indices) {
+        assert(fds.contains(FD(Set.empty, b)) == constant(inst, b), s"seed $seed, column $b")
+        if (constant(inst, b)) {
+          assert(fds.filter(_.rhs == b) == Vector(FD(Set.empty, b)), s"seed $seed, column $b")
+          constants += 1
+        }
+      }
+    }
+    assert(constants > 300, s"only $constants constant columns")
+  }
+
+  test("runExact gives every cell of a constant column over n rows exactly 2^-(n-1)") {
+    val rng = new scala.util.Random(7)
+    // An id, a constant column B and a two-valued column C, over 0 to 27 rows.
+    val cases = (0 to 27).map(n => Instance(Vector("id", "B", "C"), Vector.tabulate(n)(j => Vector(j, 5, rng.nextInt(2))))) ++
+      (0L until 300L).map(TestGen.instanceWithWideFds(_)._1)
+    var cells = 0
+    for (inst <- cases; b <- inst.attrs.indices if constant(inst, b)) {
+      val res = PlaqueTest.runExact(inst, FDDiscovery.discoverLocal(inst))
+      for (j <- inst.rows.indices) {
+        assert(res.entropy(Pos(j, b)) == math.pow(2, -(inst.rows.size - 1)), s"$inst at ${Pos(j, b)}")
+        cells += 1
+      }
+    }
+    assert(cells > 1000, s"only $cells cells")
   }
 
   test("discovery on the CD example finds the genuine unary FDs") {

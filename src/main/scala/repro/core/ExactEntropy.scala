@@ -105,7 +105,7 @@ object ExactEntropy {
   private[core] final class Kernel(inst: Instance, fds: Seq[FD], p: Pos) {
     require(inst.nCells <= MaxCells, s"naive enumeration over ${inst.nCells} cells refused (at most $MaxCells)")
     private val m = inst.arity
-    private val values = inst.rows.flatten.toArray.updated(p.row * m + p.col, inst.freshValue(p.col))
+    private val values = Array.tabulate(inst.nCells)(i => inst.column(i % m)(i / m)).updated(p.row * m + p.col, inst.freshValue(p.col))
     private val checks = for {
       f <- fds.filterNot(_.trivial).toArray
       cols = f.lhs.toArray.sorted :+ f.rhs

@@ -46,7 +46,7 @@ object FDs {
   /** [[violation]] for many FDs over one instance, grouping each distinct LHS once. */
   def violations(inst: Instance): FD => Option[(Int, Int)] = {
     val partition = Partition.of(inst)
-    fd => partition(fd.lhs).violation(inst.columns(fd.rhs))
+    fd => partition(fd.lhs).violation(inst.column(fd.rhs))
   }
 
   /** Throws an `IllegalArgumentException` naming the first FD of `fds` that
@@ -61,7 +61,7 @@ object FDs {
       require((f.lhs + f.rhs).forall(a => a >= 0 && a < inst.arity),
         s"FD ${f.lhs.toSeq.sorted.mkString("{", ", ", "}")} -> ${f.rhs} names a column outside [0, ${inst.arity}) " +
           s"of an arity-${inst.arity} instance")
-      for ((i, j) <- partition(f.lhs).violation(inst.columns(f.rhs)))
+      for ((i, j) <- partition(f.lhs).violation(inst.column(f.rhs)))
         throw new IllegalArgumentException(
           s"FD ${f.render(inst.attrs)} does not hold: rows $i and $j agree on its LHS but differ on ${inst.attrs(f.rhs)}")
     }

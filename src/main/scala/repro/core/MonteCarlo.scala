@@ -39,7 +39,7 @@ object MonteCarlo {
     * `n ≥ 2·ln(2/δ)/ε²`.
     */
   def requiredIterations(eps: Double, delta: Double): Long = {
-    require(eps > 0 && delta > 0, "eps and delta must be positive")
+    require(eps > 0 && delta > 0 && delta < 1, s"eps must be positive and delta in (0, 1), got eps = $eps, delta = $delta")
     math.ceil(2.0 * math.log(2.0 / delta) / (eps * eps)).toLong
   }
 
@@ -48,6 +48,7 @@ object MonteCarlo {
     */
   def accuracy(n: Long, delta: Double): Double = {
     require(n > 0, s"iteration count must be positive, got $n")
+    require(delta > 0 && delta < 1, s"delta must lie in (0, 1), got $delta")
     math.sqrt(2.0 * math.log(2.0 / delta) / n)
   }
 

@@ -6,9 +6,10 @@ import scala.collection.mutable
 /** Rows grouped by their values on an LHS, a partition as in TANE (Huhtala
   * et al., Comput. J. 1999): main code's one row grouping. Row `j` is in the
   * group `members(from(j) until until(j))`, listed ascending. Each LHS
-  * column in turn refines the group ids by the key (group id, value) packed
-  * into one `Long`; an open-addressing table makes the ids dense, and a
-  * counting sort lists the members.
+  * column in turn (the instance's own `Int` array, `Instance.column`)
+  * refines the group ids by the key (group id, value) packed into one
+  * `Long`; an open-addressing table makes the ids dense, and a counting sort
+  * lists the members.
   */
 private[core] final class Partition private (gid: Array[Int], start: Array[Int], val members: Array[Int]) {
   def from(j: Int): Int = start(gid(j))
@@ -37,16 +38,16 @@ private[core] object Partition {
     * reusing one id table and grouping each LHS once (memoized by its column bitmask).
     */
   def of(inst: Instance): Set[Int] => Partition = {
-    val (cols, n, ids) = (inst.columns, inst.nRows, new DenseIds(inst.nRows))
+    val (n, ids) = (inst.nRows, new DenseIds(inst.nRows))
     val memo = mutable.HashMap.empty[BitSet, Partition]
     lhs => memo.getOrElseUpdate(BitSet.fromSpecific(lhs), {
       var gid = new Array[Int](n)
       var nGroups = math.min(n, 1)
       for (c <- lhs) {
         ids.reset()
-        val next = new Array[Int](n)
+        val (col, next) = (inst.column(c), new Array[Int](n))
         var j = 0
-        while (j < n) { next(j) = ids(gid(j).toLong << 32 | (cols(c)(j) & 0xffffffffL)); j += 1 }
+        while (j < n) { next(j) = ids(gid(j).toLong << 32 | (col(j) & 0xffffffffL)); j += 1 }
         gid = next
         nGroups = ids.size
       }

@@ -82,8 +82,10 @@ object PlaqueTest {
 
     /** Histogram over entropy values: bucket i covers
       * `[i*width, (i+1)*width)`, the last bucket additionally includes 1.0.
+      * Throws unless `0 < width <= 1`.
       */
     def histogram(width: Double = 0.05): Vector[(Double, Int)] = {
+      require(width > 0 && width <= 1, s"histogram bucket width $width is not in (0, 1]")
       val nBuckets = math.ceil(1.0 / width).toInt
       val counts = new Array[Int](nBuckets)
       for (i <- 0 until cells) counts(math.min(nBuckets - 1, (cell(i) / width).toInt)) += 1
@@ -121,19 +123,6 @@ object PlaqueTest {
     */
   def runExact(inst: Instance, fds: Seq[FD]): Result =
     pipeline(inst, fds, 0L)(_.map { case (p, mc) => ExactEntropy.viaClauses(p, mc) }.toArray)
-
-  /** Convenience entry point from a DataFrame with name-level FDs. */
-  def fromDataFrame(
-      spark: SparkSession,
-      df: DataFrame,
-      orderBy: String,
-      fds: Seq[(Seq[String], String)],
-      iterations: Long,
-      seed: Long = 42,
-  ): Result = {
-    val inst = Instance.fromDataFrame(df, orderBy)
-    run(spark, inst, FDs.byName(inst.attrs, fds), iterations, seed)
-  }
 
   /** The one plaque pipeline: check `I ⊨ F`, close the FDs of `F` whose
     * LHS is not a key of `I` (§2.1), key every non-unique position's

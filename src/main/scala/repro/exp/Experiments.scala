@@ -39,11 +39,12 @@ object Experiments {
 
   /** The satellites instance truncated to its first `n` rows (Table 1 and
     * Fig. 5 sweep over these). FDs discovered on the full 150 rows still hold
-    * on every prefix.
+    * on every prefix. Throws unless `1 <= n <= 150`.
     */
   def satellitesPrefix(spark: SparkSession, n: Int): Prepared = {
     val full = prepare(spark, "satellites")
-    Prepared(s"satellites[$n]", Instance(full.inst.attrs, full.inst.rows.take(n)), full.fds)
+    require(1 <= n && n <= full.inst.nRows, s"satellites prefix of n = $n rows: n must lie in 1 to ${full.inst.nRows}, the row count")
+    Prepared(s"satellites[$n]", full.inst.subInstance(0 until n, full.inst.attrs.indices), full.fds)
   }
 
   /** Milliseconds spent evaluating `body`. */

@@ -45,7 +45,7 @@ object Heatmap {
   def csv(result: PlaqueTest.Result): String = {
     val minE = result.minEntropy
     val sb = new StringBuilder("row,attr,entropy,intensity\n")
-    for (j <- result.inst.rows.indices; k <- result.inst.attrs.indices) {
+    for (j <- 0 until result.inst.nRows; k <- result.inst.attrs.indices) {
       val e = result.entropies(j)(k)
       sb ++= f"$j,${result.inst.attrs(k)},$e%.4f,${intensity(e, minE)}%.4f\n"
     }

@@ -56,11 +56,52 @@ class InstanceSpec extends AnyFunSuite with SparkSpec {
     val sub = inst.subInstance(Seq(0, 2), Seq(2, 0))
     assert(sub.attrs == Vector("C", "A"))
     assert(sub.rows == Vector(Vector(2, 0), Vector(6, 4)))
+    assert(sub.columns == Vector(ArraySeq(2, 6), ArraySeq(0, 4)))
+    assert(inst.subInstance(Seq(2, 0, 2), Seq(1)).columns == Vector(ArraySeq(5, 1, 5)))
+    assert(inst.subInstance(Seq(0, 1), Seq.empty).nRows == 2)
+    assert(inst.subInstance(Seq.empty, Seq(0, 2)) == Instance(Vector("A", "C"), Vector.empty))
   }
 
   test("ragged instances are rejected") {
     assertThrows[IllegalArgumentException](
       Instance(Vector("A", "B"), Vector(Vector(1), Vector(1, 2))))
+    for (rows <- Seq(Vector(Vector(1), Vector(1, 2)), Vector(Vector(1, 2), Vector(1, 2, 3)))) {
+      val e = intercept[IllegalArgumentException](Instance(Vector("A", "B"), rows))
+      assert(e.getMessage == "requirement failed: ragged instance")
+    }
+  }
+
+  test("the columns hold the tuples column-major and rows gives them back") {
+    val rows = Vector(Vector(0, 1, 2), Vector(0, 1, 3), Vector(4, 5, 6))
+    assert(inst.columns == Vector(ArraySeq(0, 0, 4), ArraySeq(1, 1, 5), ArraySeq(2, 3, 6)))
+    assert(inst.rows == rows)
+    assert(Instance(inst.attrs, inst.rows) == inst)
+  }
+
+  test("equality and hashCode agree across apply, encode and fromDataFrame") {
+    import spark.implicits._
+    val attrs = Vector("u", "v")
+    val viaApply = Instance(attrs, Vector(Vector(0, 0), Vector(1, 0), Vector(0, 1)))
+    val viaEncode = Instance.encode(attrs, Seq(Seq("a", 7L), Seq("b", 7L), Seq("a", 9L)))
+    val viaFrame = Instance.fromDataFrame(Seq((2L, "a", 9L), (0L, "a", 7L), (1L, "b", 7L)).toDF("id", "u", "v"), "id")
+    for (other <- Seq(viaEncode, viaFrame)) {
+      assert(other == viaApply && viaApply == other)
+      assert(other.hashCode == viaApply.hashCode)
+    }
+    val differs = Instance(attrs, Vector(Vector(0, 0), Vector(1, 0), Vector(0, 0)))
+    assert(differs != viaApply)
+    assert(Instance(Vector("u", "w"), viaApply.rows) != viaApply)
+  }
+
+  test("an arity-0 instance keeps its row count and a 0-row instance its arity") {
+    val noCols = Instance(Vector.empty, Vector.fill(4)(Vector.empty))
+    assert(noCols.nRows == 4 && noCols.arity == 0 && noCols.nCells == 0)
+    assert(noCols.rows == Vector.fill(4)(Vector.empty[Int]))
+    assert(noCols != Instance(Vector.empty, Vector.fill(3)(Vector.empty)))
+    val noRows = Instance(Vector("A", "B"), Vector.empty)
+    assert(noRows.arity == 2 && noRows.nRows == 0 && noRows.positions.isEmpty)
+    assert(noRows.columns == Vector(ArraySeq.empty[Int], ArraySeq.empty[Int]))
+    assert(Instance.encode(Seq("A", "B"), Seq.empty) == noRows)
   }
 
   test("encode dictionary-codes by first occurrence per column") {

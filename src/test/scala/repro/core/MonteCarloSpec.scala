@@ -36,6 +36,13 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
   test("requiredIterations rejects non-positive arguments") {
     assertThrows[IllegalArgumentException](MonteCarlo.requiredIterations(0.0, 0.1))
     assertThrows[IllegalArgumentException](MonteCarlo.requiredIterations(0.1, 0.0))
+    // A confidence 1 − δ needs 0 < δ < 1: δ = 3 gave −81 iterations, and accuracy NaN.
+    for (delta <- Seq(1.0, 3.0)) {
+      assertThrows[IllegalArgumentException](MonteCarlo.requiredIterations(0.1, delta))
+      assertThrows[IllegalArgumentException](MonteCarlo.accuracy(100, delta))
+    }
+    assertThrows[IllegalArgumentException](MonteCarlo.accuracy(100, 0.0))
+    assert(MonteCarlo.requiredIterations(0.1, 0.1) > 0 && MonteCarlo.accuracy(100, 0.1) > 0)
   }
 
   test("requiredIterations is monotone in eps and delta") {

@@ -78,6 +78,15 @@ class PlaqueTestSpec extends AnyFunSuite with SparkSpec {
     assert(h == Vector((0.0, 0), (0.5, 12)))
   }
 
+  test("histogram rejects a bucket width outside (0, 1] before allocating") {
+    val res = PlaqueTest.runExact(ex34, fds)
+    for (width <- Seq(0.0, -0.05, 1.5, Double.NaN)) {
+      val e = intercept[IllegalArgumentException](res.histogram(width))
+      assert(e.getMessage.contains(s"width $width "), e.getMessage)
+    }
+    assert(res.histogram(1.0) == Vector((0.0, 12)))
+  }
+
   test("toDF round-trips the matrix and joins with SQL") {
     val res = PlaqueTest.runExact(ex34, fds)
     val df = res.toDF(spark)
@@ -100,8 +109,8 @@ class PlaqueTestSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("fromDataFrame end-to-end on the CD example") {
-    val res = PlaqueTest.fromDataFrame(
-      spark, Datasets.cdCollection(spark), "id", Datasets.cdGenuineFds, 50000)
+    val inst = Instance.fromDataFrame(Datasets.cdCollection(spark), "id")
+    val res = PlaqueTest.run(spark, inst, FDs.byName(inst.attrs, Datasets.cdGenuineFds), 50000)
     // Fig. 1b: Album entropy of the first tuple ≈ 25/32.
     val albumIdx = res.inst.attrIndex("album")
     assert(math.abs(res.entropies(0)(albumIdx) - 25.0 / 32.0) < 0.02)

@@ -35,6 +35,14 @@ class ExpSmokeSpec extends AnyFunSuite with SparkSpec {
     assert(p5.fds == full.fds)
   }
 
+  test("satellitesPrefix rejects n outside 1 to the row count, naming both") {
+    for (n <- Seq(0, -1, 151, 200)) {
+      val e = intercept[IllegalArgumentException](Experiments.satellitesPrefix(spark, n))
+      assert(e.getMessage.contains(s"n = $n ") && e.getMessage.contains("150"), e.getMessage)
+    }
+    assert(Experiments.satellitesPrefix(spark, 150).inst == Experiments.prepare(spark, "satellites").inst)
+  }
+
   test("prefix instances fulfil the FDs discovered on the full data") {
     for (n <- Seq(1, 3, 10)) {
       val p = Experiments.satellitesPrefix(spark, n)

@@ -20,55 +20,19 @@ import repro.core.MonteCarlo.MaskedClauses
   * Hence `(I_{Q←X})_{p←a} ⊨ F*` iff **every** witness clause contains at
   * least one position of `Q` — a monotone-CNF "hit every clause" condition.
   * The plaque pipeline reads [[classes]], which lowers the clauses of class
-  * representatives as [[index]] lowers them; [[forAllPositions]] is the
-  * `Set[Pos]` view of [[index]], and [[representatives]] keys its classes.
+  * representatives by `MonteCarlo.number`, as `MonteCarlo.mask` lowers them
+  * over positions; [[forAllPositions]] gives every non-unique position's
+  * clauses over positions, and [[representatives]] keys their classes.
   * The equivalence with the literal Definition 2.4 check (a `TestGen`
   * oracle) is exercised property-style in the test suite.
   */
 object Clauses {
 
-  /** The witness clauses of one position, lowered: `mc` numbers the clause
-    * cells exactly as [[MonteCarlo.mask]] does on the `Set[Pos]` clauses, and
-    * `cells(v)` is clause cell `v` as `row · arity + col`.
-    */
-  final case class Lowered(mc: MaskedClauses, cells: Array[Int]) {
-
-    /** The clauses over positions, in order. */
-    def clauses(arity: Int): Vector[Set[Pos]] =
-      mc.vars.iterator.map(_.iterator.map(v => Pos(cells(v) / arity, cells(v) % arity)).toSet).toVector
-  }
-
-  /** The lowered witness clauses of every non-unique position (the key set,
-    * Prop. 3.2; no entry is empty), from one row-grouping pass per FD.
-    *
-    * Clauses come in FD order, then by witness row ascending. Cells are
-    * numbered first-seen over the clauses, each clause's cells taken in
-    * ascending `(row, col)` order; `vars(i)` lists clause `i`'s numbers in
-    * ascending order. Rows are grouped by [[Partition]]; a stamp array
-    * renumbers the cells per position. [[classes]] lowers the same way, for
-    * class representatives only.
-    *
-    * `closedFds` must be `FDs.closure` output, of `F` or (as
-    * `PlaqueTest.pipeline` passes it) of the FDs of `F` whose LHS is not a
-    * key of `inst`: both give the same clauses, as a key-LHS FD gives none.
-    * Then no clause of a position contains another: a clause of
-    * `p = (j, B)` has one cell in column `B`, its witness row's, so nested
-    * clauses share the witness row and have nested LHSs, which the closure's
-    * per-RHS antichain rules out. Other FD sets may yield a superset clause,
-    * which never changes `X(Q)`.
-    */
-  def index(inst: Instance, closedFds: Seq[FD]): Map[Pos, Lowered] = {
-    val w = new Witnesses(inst, closedFds, Partition.of(inst))
-    val out = Map.newBuilder[Pos, Lowered]
-    for (b <- w.rhs.indices; j <- 0 until inst.nRows if w.shared(b, j)) out += Pos(j, w.rhs(b)) -> w.lower(b, j)
-    out.result()
-  }
-
   /** The clause-shape classes of the non-unique positions, read off the
     * partitions: the class id of every cell `row · arity + col` (−1 for a
-    * unique cell), and the representatives with their lowered clauses
-    * ([[index]]'s entry), class `i`'s at index `i`, in ascending
-    * `(row, col)` order.
+    * unique cell), and the representatives with their clauses lowered as
+    * `MonteCarlo.mask` lowers [[forAllPositions]]'s, class `i`'s at index
+    * `i`, in ascending `(row, col)` order.
     *
     * A witness clause of `p = (j, B)` from `L → B` has the cells `L` in row
     * `j` and `L ∪ {B}` in its witness row, fixed by the FD. So the clauses
@@ -81,12 +45,12 @@ object Clauses {
     * [[forAllPositions]], whose keys give the column pairs of the same
     * clauses row by row. Positions are visited row by row, columns
     * ascending, so the representative is, as there, the class's least
-    * `(row, col)` position. `closedFds` is as for [[index]].
+    * `(row, col)` position. `closedFds` is as for [[forAllPositions]].
     */
   private[core] def classes(inst: Instance, closedFds: Seq[FD], partition: Set[Int] => Partition)
       : (Array[Int], Vector[(Pos, MaskedClauses)]) = {
     val n = inst.nRows
-    val w = new Witnesses(inst, closedFds, partition)
+    val w = new Witnesses(closedFds, partition)
     val classOf = Array.fill(inst.nCells)(-1)
     val reps = scala.collection.mutable.ArrayBuffer.empty[(Pos, MaskedClauses)]
     val words = w.groups.map(g => (g.length + 63) / 64)
@@ -117,7 +81,7 @@ object Clauses {
         }
       }
       classOf(j * inst.arity + w.rhs(b)) = first(b).getOrElseUpdate(ArraySeq.unsafeWrapArray(sorted(sig, ws, rows, t)), {
-        reps += Pos(j, w.rhs(b)) -> w.lower(b, j).mc
+        reps += Pos(j, w.rhs(b)) -> MonteCarlo.number(w.clauses(b, j))
         reps.size - 1
       })
     }
@@ -142,67 +106,64 @@ object Clauses {
   }
 
   /** The non-trivial closed FDs grouped by RHS, with their LHS partitions,
-    * and the lowering of one position's witness clauses, as [[index]]
-    * numbers them.
+    * and one position's witness clauses over cell keys.
     */
-  private final class Witnesses(inst: Instance, closedFds: Seq[FD], partition: Set[Int] => Partition) {
+  private final class Witnesses(closedFds: Seq[FD], partition: Set[Int] => Partition) {
     private val byRhs = closedFds.filterNot(_.trivial).groupBy(_.rhs).toArray.sortBy(_._1)
     /** RHS column of FD group `b`, ascending in `b`. */
     val rhs: Array[Int] = byRhs.map(_._1)
     /** The LHS partitions of group `b`'s FDs, in FD order. */
     val groups: Array[Array[Partition]] = byRhs.map(_._2.map(f => partition(f.lhs)).toArray)
-    private val lhs = byRhs.map(_._2.map(_.lhs.toArray.sorted).toArray)
-    private val withRhs = byRhs.map { case (b, fds) => fds.map(f => (f.lhs + b).toArray.sorted).toArray }
-    private val m = inst.arity
-    // owner(c) is the last position id that numbered cell c, as number(c).
-    private val owner = Array.fill(inst.nCells)(-1)
-    private val number = new Array[Int](inst.nCells)
-    private var pid = -1
+    private val lhs = byRhs.map(_._2.map(_.lhs.toArray).toArray)
 
     /** Whether `(j, rhs(b))` has a witness row under one of group `b`'s FDs. */
     def shared(b: Int, j: Int): Boolean = groups(b).exists(_.shared(j))
 
-    /** The lowered witness clauses of `(j, rhs(b))`. */
-    def lower(b: Int, j: Int): Lowered = {
-      pid += 1
-      val cells = Array.newBuilder[Int]
-      var nVars = 0
-      // Numbers row `row`'s cells in columns `cs` into `clause` from `at` on.
-      def put(clause: Array[Int], at: Int, row: Int, cs: Array[Int]): Unit = {
-        var i = 0
-        while (i < cs.length) {
-          val c = row * m + cs(i)
-          if (owner(c) != pid) { owner(c) = pid; number(c) = nVars; cells += c; nVars += 1 }
-          clause(at + i) = number(c)
-          i += 1
-        }
-      }
-      val vars = Array.newBuilder[Array[Int]]
-      for (fi <- groups(b).indices) {
-        val (g, l, lr) = (groups(b)(fi), lhs(b)(fi), withRhs(b)(fi))
+    /** The witness clauses of `(j, rhs(b))` as `MonteCarlo.key`s, in FD
+      * order, then by witness row ascending.
+      */
+    def clauses(b: Int, j: Int): Array[Array[Long]] = {
+      val out = Array.newBuilder[Array[Long]]
+      for ((g, l) <- groups(b).zip(lhs(b))) {
         var k = g.from(j)
         while (k < g.until(j)) {
           val w = g.members(k)
           if (w != j) {
-            val clause = new Array[Int](l.length + lr.length)
-            // Cells in ascending (row, col) order: the lower row's first.
-            if (w < j) { put(clause, 0, w, lr); put(clause, lr.length, j, l) }
-            else { put(clause, 0, j, l); put(clause, l.length, w, lr) }
-            java.util.Arrays.sort(clause)
-            vars += clause
+            val clause = new Array[Long](2 * l.length + 1)
+            for (i <- l.indices) { clause(i) = MonteCarlo.key(j, l(i)); clause(l.length + i) = MonteCarlo.key(w, l(i)) }
+            clause(2 * l.length) = MonteCarlo.key(w, rhs(b))
+            out += clause
           }
           k += 1
         }
       }
-      Lowered(MaskedClauses(nVars, vars.result()), cells.result())
+      out.result()
     }
   }
 
-  /** The witness clauses of every non-unique position over positions: the
-    * `Set[Pos]` view of [[index]], same keys and clause order.
+  /** The witness clauses of every non-unique position (the key set,
+    * Prop. 3.2; no entry is empty) over positions, from one row-grouping
+    * pass per FD. Clauses come in FD order, then by witness row ascending:
+    * `MonteCarlo.mask` numbers their cells first-seen in this order, as
+    * [[classes]] numbers its representatives'.
+    *
+    * `closedFds` must be `FDs.closure` output, of `F` or (as
+    * `PlaqueTest.pipeline` passes it) of the FDs of `F` whose LHS is not a
+    * key of `inst`: both give the same clauses, as a key-LHS FD gives none.
+    * Then no clause of a position contains another: a clause of
+    * `p = (j, B)` has one cell in column `B`, its witness row's, so nested
+    * clauses share the witness row and have nested LHSs, which the closure's
+    * per-RHS antichain rules out. Other FD sets may yield a superset clause,
+    * which never changes `X(Q)`.
     */
-  def forAllPositions(inst: Instance, closedFds: Seq[FD]): Map[Pos, Vector[Set[Pos]]] =
-    index(inst, closedFds).map { case (p, l) => p -> l.clauses(inst.arity) }
+  def forAllPositions(inst: Instance, closedFds: Seq[FD]): Map[Pos, Vector[Set[Pos]]] = {
+    val w = new Witnesses(closedFds, Partition.of(inst))
+    val out = Map.newBuilder[Pos, Vector[Set[Pos]]]
+    // A cell key is `row << 32 | col` (`MonteCarlo.key`).
+    for (b <- w.rhs.indices; j <- 0 until inst.nRows if w.shared(b, j))
+      out += Pos(j, w.rhs(b)) -> w.clauses(b, j).iterator.map(_.iterator.map(k => Pos((k >>> 32).toInt, k.toInt)).toSet).toVector
+    out.result()
+  }
 
   /** Each position's class representative among clause sets over
     * positions: the least `(row, col)` position with the same content key.

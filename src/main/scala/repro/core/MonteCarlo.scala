@@ -29,9 +29,9 @@ import org.apache.spark.sql.SparkSession
   * share one estimate, that of the class's least `(row, col)` cell. Its
   * budget is cut into blocks of 25 000 iterations, and block `b` of cell `p`
   * draws from a generator seeded by a pure function of `(seed, p.row, p.col,
-  * b)`. One block runner sums their integer hit counts, on one thread for
-  * [[matrixLocal]] and on one per core for `PlaqueTest.run` and
-  * [[estimateSpark]], so all return identical matrices.
+  * b)`. One block runner sums their integer hit counts on any number of
+  * threads (one per core for `PlaqueTest.run` and [[estimateSpark]]), so
+  * every thread count returns the same matrix.
   */
 object MonteCarlo {
 
@@ -58,17 +58,28 @@ object MonteCarlo {
     */
   final case class MaskedClauses(nVars: Int, vars: Array[Array[Int]])
 
-  /** Lower clauses over positions to cell indices, numbering cells in first-
-    * seen order over the clauses with each clause's cells taken in ascending
-    * `(row, col)` order: the numbering of `Clauses.index`, so the sampler
+  /** Lower clauses over positions to cell indices, as [[number]] numbers
+    * their cell keys.
+    */
+  def mask(clauses: Seq[Set[Pos]]): MaskedClauses =
+    number(clauses.iterator.map(_.iterator.map(p => key(p.row, p.col)).toArray).toArray)
+
+  /** The key of cell `(row, col)`; keys sort as `(row, col)`. */
+  private[core] def key(row: Int, col: Int): Long = row.toLong << 32 | col
+
+  /** Lower clauses over cell keys ([[key]]) to cell indices: cells are
+    * numbered in first-seen order over the clauses, each clause's cells
+    * taken in ascending `(row, col)` order. Sorts each clause in place. The
+    * one numbering behind [[mask]] and `Clauses.classes`, so the sampler
     * draws the same streams for both.
     */
-  def mask(clauses: Seq[Set[Pos]]): MaskedClauses = {
-    val number = scala.collection.mutable.HashMap.empty[Pos, Int]
-    val vars = clauses.iterator.map { clause =>
-      clause.toArray.sortBy(c => (c.row, c.col)).map(number.getOrElseUpdate(_, number.size)).sorted
-    }.toArray
-    MaskedClauses(number.size, vars)
+  private[core] def number(clauses: Array[Array[Long]]): MaskedClauses = {
+    val ids = new scala.collection.mutable.LongMap[Int]
+    val vars = clauses.map { clause =>
+      java.util.Arrays.sort(clause)
+      clause.map(ids.getOrElseUpdate(_, ids.size)).sorted
+    }
+    MaskedClauses(ids.size, vars)
   }
 
   /** One MC estimate: fraction of sampled deletions that hit every clause. */
@@ -179,16 +190,6 @@ object MonteCarlo {
     val z1 = (z0 ^ (z0 >>> 30)) * 0xbf58476d1ce4e5b9L
     val z2 = (z1 ^ (z1 >>> 27)) * 0x94d049bb133111ebL
     z2 ^ (z2 >>> 31)
-  }
-
-  /** Local MC entropy matrix: unique positions get exactly 1.0 (Prop. 3.2),
-    * the others the value of their clause-shape class, `iters` samples each
-    * on one sampler thread, with the blocks and values of
-    * `PlaqueTest.run(spark, inst, fds, iters, seed)`.
-    */
-  def matrixLocal(inst: Instance, fds: Seq[FD], iters: Long, seed: Long = 42): Map[Pos, Double] = {
-    require(iters > 0, s"iteration count must be positive, got $iters")
-    PlaqueTest.pipeline(inst, fds, iters)(sample(_, iters, seed, 1)).byPosition
   }
 
   /** MC entropy estimates for the given positions: grouped into classes by

@@ -65,8 +65,8 @@ object PlaqueTest {
     /** Number of cells with entropy below 1 (the colored cells of a heat map). */
     def cellsBelowOne: Int = classOf.count(c => c >= 0 && values(c) < 1.0)
 
-    /** Fraction of cells with entropy exactly 1 (Fig. 4's headline). */
-    def fractionOnes: Double = (cells - cellsBelowOne).toDouble / cells
+    /** Fraction of cells with entropy exactly 1 (Fig. 4's headline); 1.0 on no cells. */
+    def fractionOnes: Double = if (cells == 0) 1.0 else (cells - cellsBelowOne).toDouble / cells
 
     /** Attribute names with at least one cell below 1 ("columns with
       * plaque"; RQ1 reports these per dataset).
@@ -75,10 +75,11 @@ object PlaqueTest {
       inst.attrs.indices.filter(k => column(k).exists(_ < 1.0)).map(inst.attrs).toVector
 
     /** Attribute names whose cells are all (approximately) zero entropy —
-      * the "no informational value" columns of echocardiogram/NCVoter.
+      * the "no informational value" columns of echocardiogram/NCVoter; none
+      * on an instance without rows.
       */
     def zeroColumns(tol: Double = 0.05): Vector[String] =
-      inst.attrs.indices.filter(k => column(k).forall(_ <= tol)).map(inst.attrs).toVector
+      inst.attrs.indices.filter(k => inst.nRows > 0 && column(k).forall(_ <= tol)).map(inst.attrs).toVector
 
     /** Histogram over entropy values: bucket i covers
       * `[i*width, (i+1)*width)`, the last bucket additionally includes 1.0.
@@ -101,8 +102,8 @@ object PlaqueTest {
   }
 
   /** Run the plaque test with Monte Carlo on driver threads, as many as the
-    * session has cores; no Spark job runs. The entropies equal
-    * `MonteCarlo.matrixLocal(inst, fds, iterations, seed)` exactly.
+    * session has cores; no Spark job runs. The entropies do not depend on
+    * the number of cores.
     *
     * @param fds        the FD set `F` (closure is computed internally)
     * @param iterations MC iterations per non-unique cell

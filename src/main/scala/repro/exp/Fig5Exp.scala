@@ -10,13 +10,13 @@ import repro.core._
   *
   * The paper times a single-threaded prototype that samples every cell, so
   * this grid times closure + clauses + per-position MC on one thread:
-  * `FDs.closure`, `Clauses.index` and [[MonteCarlo.estimate]] for each
-  * non-unique position. The plaque pipeline (`matrixLocal`, and the
-  * one-thread-per-core runner of Figs. 3/6) estimates each clause shape only
-  * once, which would hide the per-cell cost the paper timed. The sampler is
-  * bit-sliced (64 samples per machine word), so one iteration costs about a
-  * 64th of a clause pass. The reproduced signals are runtime ≈ linear in
-  * iterations and growing with the row count.
+  * `FDs.closure`, `Clauses.forAllPositions`, and [[MonteCarlo.mask]] and
+  * [[MonteCarlo.estimate]] for each non-unique position. The plaque pipeline
+  * (`PlaqueTest.run`, the one-thread-per-core runner of Figs. 3/6) estimates
+  * each clause shape only once, which would hide the per-cell cost the paper
+  * timed. The sampler is bit-sliced (64 samples per machine word), so one
+  * iteration costs about a 64th of a clause pass. The reproduced signals are
+  * runtime ≈ linear in iterations and growing with the row count.
   */
 object Fig5Exp {
 
@@ -42,8 +42,8 @@ object Fig5Exp {
 
   /** The per-cell MC entropies of every non-unique position, each cell seeded by its own position. */
   private def perCell(inst: Instance, fds: Seq[FD], iters: Long): Map[Pos, Double] =
-    Clauses.index(inst, FDs.closure(fds)).map { case (p, l) =>
-      p -> MonteCarlo.estimate(l.mc, iters, p.row.toLong << 32 | p.col)
+    Clauses.forAllPositions(inst, FDs.closure(fds)).map { case (p, cls) =>
+      p -> MonteCarlo.estimate(MonteCarlo.mask(cls), iters, p.row.toLong << 32 | p.col)
     }
 
   def format(cells: Seq[Cell]): String = {

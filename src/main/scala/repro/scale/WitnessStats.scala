@@ -27,7 +27,7 @@ object WitnessStats {
 
   /** Per-FD redundancy profile of `df`, one row per FD in the order of `fds`:
     *
-    *  - `fd`               rendered `lhs -> rhs`
+    *  - `fd`               rendered `lhs -> rhs`, an empty LHS as `∅` (as `FD.render`)
     *  - `holds`            whether the FD holds (no group has two distinct non-null RHS values)
     *  - `n_groups`         number of distinct LHS values (0 on an empty frame)
     *  - `n_dup_groups`     groups of size ≥ 2
@@ -57,7 +57,7 @@ object WitnessStats {
         )
         .collect()(0)
       rhss.indices.map { k =>
-        val fd = s"${lhs.mkString(", ")} -> ${rhss(k)}"
+        val fd = s"${if (lhs.isEmpty) "∅" else lhs.mkString(", ")} -> ${rhss(k)}"
         (lhs, rhss(k)) -> (fd, g.getBoolean(4 + k), g.getLong(0), g.getLong(1), g.getLong(2), g.getLong(3))
       }
     }.toMap

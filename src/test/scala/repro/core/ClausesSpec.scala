@@ -102,13 +102,7 @@ class ClausesSpec extends AnyFunSuite {
     assert(nonUnique > 1000)
   }
 
-  private def assertLowered(got: Clauses.Lowered, want: MonteCarlo.MaskedClauses, at: String): Unit = {
-    assert(got.mc.nVars == want.nVars && got.cells.length == want.nVars, at)
-    assert(got.mc.vars.map(_.toSeq).toSeq == want.vars.map(_.toSeq).toSeq, at)
-    assert(got.cells.distinct.length == got.cells.length, at)
-  }
-
-  test("index ≡ mask(referenceClauses) element for element, and forAllPositions ≡ referenceClauses (400 wide seeds)") {
+  test("forAllPositions ≡ referenceClauses, with a key exactly at the positions that have a clause (400 wide seeds)") {
     var emptyLhs = 0
     var constantCols = 0
     var wideLhs = 0
@@ -116,35 +110,31 @@ class ClausesSpec extends AnyFunSuite {
     for (seed <- 0L until 400L) {
       val (inst, fds) = TestGen.instanceWithWideFds(seed)
       val closed = FDs.closure(fds)
-      val index = Clauses.index(inst, closed)
       val view = Clauses.forAllPositions(inst, closed)
-      assert(view.keySet == index.keySet, s"seed $seed")
       for (p <- inst.positions) {
         val want = TestGen.referenceClauses(inst, closed, p)
         assert(view.getOrElse(p, Vector.empty) == want, s"seed $seed at $p")
-        assert(index.contains(p) == want.nonEmpty, s"seed $seed at $p")
-        for (got <- index.get(p)) {
-          assertLowered(got, MonteCarlo.mask(want), s"seed $seed at $p")
-          assert(got.clauses(inst.arity) == want, s"seed $seed at $p")
-        }
+        assert(view.contains(p) == want.nonEmpty, s"seed $seed at $p")
       }
       emptyLhs += closed.count(_.lhs.isEmpty)
       constantCols += inst.attrs.indices.count(k => inst.rows.map(_(k)).distinct.size == 1)
       wideLhs += closed.count(_.lhs.size > 2)
-      nonUnique += index.size
+      nonUnique += view.size
     }
     assert(emptyLhs > 50 && constantCols > 100 && wideLhs > 50 && nonUnique > 2000,
       s"empty LHSs $emptyLhs, constant columns $constantCols, LHSs over 2 columns $wideLhs, non-unique $nonUnique")
   }
 
-  test("index numbers cells first-seen, each clause's cells in ascending (row, col) order") {
+  test("mask numbers forAllPositions' cells first-seen, each clause's cells in ascending (row, col) order") {
     // A, B -> C with witness rows 0 and 2 of row 1: the lower row's cells come first.
     val inst = Instance(Vector("A", "B", "C"), Vector(Vector(1, 1, 5), Vector(1, 1, 5), Vector(1, 1, 5)))
-    val l = Clauses.index(inst, Vector(FD(Set(0, 1), 2)))(Pos(1, 2))
+    val cls = Clauses.forAllPositions(inst, Vector(FD(Set(0, 1), 2)))(Pos(1, 2))
     // Clause 1 (witness 0): (0,0) (0,1) (0,2) (1,0) (1,1); clause 2 (witness 2) adds (2,0) (2,1) (2,2).
-    assert(l.cells.toSeq == Seq(0, 1, 2, 3, 4, 6, 7, 8))
-    assert(l.mc.vars.map(_.toSeq).toSeq == Seq(Seq(0, 1, 2, 3, 4), Seq(3, 4, 5, 6, 7)))
-    assert(MonteCarlo.mask(l.clauses(3)).vars.map(_.toSeq).toSeq == l.mc.vars.map(_.toSeq).toSeq)
+    val cells = Seq((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)).map { case (j, k) => Pos(j, k) }
+    assert(cls == Vector(cells.take(5).toSet, cells.drop(3).toSet))
+    val mc = MonteCarlo.mask(cls)
+    assert(mc.nVars == 8)
+    assert(mc.vars.map(_.toSeq).toSeq == Seq(Seq(0, 1, 2, 3, 4), Seq(3, 4, 5, 6, 7)))
   }
 
   test("on raw FDs a superset clause may appear, and minimizing it away keeps X(Q)") {

@@ -2,12 +2,14 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.SparkSpec
+
 /** Every estimator on degenerate instances: duplicate rows, a constant
   * column under an empty-LHS FD, arity 1 and a single row. The three exact
-  * paths agree to 1e-12, local MC is within its (n, δ = 1e-6) accuracy of
+  * paths agree to 1e-12, MC (`run`) is within its (n, δ = 1e-6) accuracy of
   * them, and every unique cell is exactly 1.0 in each.
   */
-class EstimatorEdgeCasesSpec extends AnyFunSuite {
+class EstimatorEdgeCasesSpec extends AnyFunSuite with SparkSpec {
 
   private val Iters = 100000L
   private val Eps = MonteCarlo.accuracy(Iters, 1e-6)
@@ -40,13 +42,13 @@ class EstimatorEdgeCasesSpec extends AnyFunSuite {
     val optimized = ExactEntropy.optimized(inst, fds)
     assert(!naive.aborted && !optimized.aborted)
     val exact = PlaqueTest.runExact(inst, fds)
-    val mc = MonteCarlo.matrixLocal(inst, fds, Iters, 5)
+    val mc = PlaqueTest.run(spark, inst, fds, Iters, 5).byPosition
     val unique = inst.positions.toSet -- Uniqueness.nonUniquePositions(inst, FDs.closure(fds))
     for (p <- inst.positions) {
       val v = naive.entropies(p)
       assert(math.abs(optimized.entropies(p) - v) < 1e-12, s"optimized at $p")
       assert(math.abs(exact.entropy(p) - v) < 1e-12, s"runExact at $p")
-      assert(math.abs(mc(p) - v) <= Eps, s"matrixLocal at $p: ${mc(p)} vs $v")
+      assert(math.abs(mc(p) - v) <= Eps, s"run at $p: ${mc(p)} vs $v")
       if (unique(p))
         assert(Seq(v, optimized.entropies(p), exact.entropy(p), mc(p)).forall(_ == 1.0), s"unique $p")
     }

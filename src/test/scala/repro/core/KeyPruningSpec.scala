@@ -26,14 +26,6 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
     PlaqueTest.Result(inst, classOf, estimate(reps), Vector.empty, 0L).entropies
   }
 
-  private def assertSameIndex(a: Map[Pos, Clauses.Lowered], b: Map[Pos, Clauses.Lowered], at: String): Unit = {
-    assert(a.keySet == b.keySet, at)
-    for ((p, l) <- a) {
-      assert(l.mc.nVars == b(p).mc.nVars && l.cells.toSeq == b(p).cells.toSeq, s"$at, $p")
-      assert(l.mc.vars.map(_.toSeq).toSeq == b(p).mc.vars.map(_.toSeq).toSeq, s"$at, $p")
-    }
-  }
-
   test("Partition.key: one row per group, on the ∅ LHS, 0 rows, 1 row and duplicate rows") {
     val attrs = Vector("A", "B", "C")
     def keys(rows: Vector[Vector[Int]]): Seq[Boolean] = {
@@ -55,7 +47,8 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
       val (keyed, rest) = fds.partition(key(inst))
       val (pruned, full) = (FDs.closure(rest), FDs.closure(fds))
       assert(pruned.filterNot(key(inst)) == full.filterNot(key(inst)), name)
-      assertSameIndex(Clauses.index(inst, pruned), Clauses.index(inst, full), name)
+      // `==` pins the clause order too, on which `MonteCarlo.mask`'s numbering depends.
+      assert(Clauses.forAllPositions(inst, pruned) == Clauses.forAllPositions(inst, full), name)
       keyFds += keyed.size
       nonKeyFds += rest.size
     }
@@ -70,7 +63,7 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
       assert(message(Try(PlaqueTest.runExact(inst, fds).entropies)) == message(exact), name)
       if (exact.isFailure) refused += 1
       val mc = fullClosure(inst, fds)(MonteCarlo.sample(_, 3000, 9, 1))
-      assert(MonteCarlo.matrixLocal(inst, fds, 3000, 9) == inst.positions.map(p => p -> mc(p.row)(p.col)).toMap, name)
+      assert(PlaqueTest.run(spark, inst, fds, 3000, 9).entropies == mc, name)
     }
     assert(refused < TestGen.pipelineCases.size / 10, refused)
   }
@@ -107,7 +100,7 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
     val res = PlaqueTest.runExact(inst, keyed)
     assert(res.closedFds == Vector(FD(Set(0), 1)))
     assert(res.nonUnique == Set(Pos(0, 1), Pos(1, 1), Pos(2, 1), Pos(3, 1)))
-    assert(MonteCarlo.matrixLocal(inst, keyed, 1000, 3).keySet == inst.positions.toSet)
+    assert(PlaqueTest.run(spark, inst, keyed, 1000, 3).byPosition.keySet == inst.positions.toSet)
     val e = intercept[IllegalArgumentException](PlaqueTest.runExact(inst, keyed :+ FD(Set(64), 0)))
     assert(e.getMessage.contains("closure supports column indices 0..63 only"), e.getMessage)
   }
@@ -116,7 +109,7 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
     val nonKey = Fig3Exp.DatasetNames.map { d =>
       val prep = Experiments.prepare(spark, d)
       val rest = prep.fds.filterNot(key(prep.inst))
-      assertSameIndex(Clauses.index(prep.inst, FDs.closure(rest)), Clauses.index(prep.inst, FDs.closure(prep.fds)), d)
+      assert(Clauses.forAllPositions(prep.inst, FDs.closure(rest)) == Clauses.forAllPositions(prep.inst, FDs.closure(prep.fds)), d)
       (rest.size, prep.fds.size)
     }
     assert(nonKey == Seq((2, 44), (2, 194), (19, 161), (17, 1717), (2, 2)))

@@ -72,6 +72,14 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
     assert(mc.vars.map(_.toSeq).toSeq == Seq(Seq(0), Seq(0, 1, 2, 3, 4), Seq(4), Seq(2, 3)))
   }
 
+  test("mask orders cells as (row, col) with columns 64 and up and rows 2^16 and up") {
+    // Neither column-first order nor an Int key `row << 16 | col` gives this numbering.
+    val wide = Set(Pos(70000, 0), Pos(1, 100), Pos(1, 65), Pos(65536, 70), Pos(65535, 200))
+    val mc = MonteCarlo.mask(Vector(wide, Set(Pos(65536, 70), Pos(0, 99))))
+    assert(mc.nVars == 6)
+    assert(mc.vars.map(_.toSeq).toSeq == Seq(Seq(0, 1, 2, 3, 4), Seq(3, 5)))
+  }
+
   test("estimate rejects a non-positive iteration count") {
     val e = intercept[IllegalArgumentException](MonteCarlo.estimate(MonteCarlo.mask(Vector.empty), 0, 1))
     assert(e.getMessage.contains("got 0"))
@@ -132,10 +140,10 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
       Vector("A", "B", "C", "D"),
       Vector(Vector(7, 2, 8, 4), Vector(5, 2, 8, 6), Vector(7, 2, 8, 6)),
     )
-    val mat = MonteCarlo.matrixLocal(ex34, Vector(FD(Set(0), 2)), 20000)
+    val mat = PlaqueTest.run(spark, ex34, Vector(FD(Set(0), 2)), 20000)
     for (p <- ex34.positions if p != Pos(0, 2) && p != Pos(2, 2))
-      assert(mat(p) == 1.0, s"at $p")
-    assert(math.abs(mat(Pos(0, 2)) - 0.875) < 0.02)
+      assert(mat.entropy(p) == 1.0, s"at $p")
+    assert(math.abs(mat.entropy(Pos(0, 2)) - 0.875) < 0.02)
   }
 
   test("matrixLocal rejects an FD that does not hold, naming it and two rows") {
@@ -143,7 +151,7 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
       Vector("A", "B", "C", "D"),
       Vector(Vector(7, 2, 8, 4), Vector(5, 2, 8, 6), Vector(7, 2, 8, 6)),
     )
-    val e = intercept[IllegalArgumentException](MonteCarlo.matrixLocal(ex34, Vector(FD(Set(0), 3)), 1000))
+    val e = intercept[IllegalArgumentException](PlaqueTest.run(spark, ex34, Vector(FD(Set(0), 3)), 1000))
     assert(e.getMessage.contains("A -> D") && e.getMessage.contains("rows 0 and 2"), e.getMessage)
   }
 
@@ -196,7 +204,7 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  // --- Bit-sliced sampler and the block seeds shared by matrixLocal and run --
+  // --- Bit-sliced sampler and the block seeds shared by every thread count --
 
   test("estimate counts exactly n samples for batch-boundary iteration counts") {
     val mc = MonteCarlo.mask(Vector(Set(Pos(0, 0), Pos(1, 0)), Set(Pos(2, 1))))
@@ -226,8 +234,8 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
     }
     for ((inst, fds, seed) <- cases) {
       val run = PlaqueTest.run(spark, inst, fds, 180001, seed)
-      val local = MonteCarlo.matrixLocal(inst, fds, 180001, seed)
-      for (p <- inst.positions) assert(run.entropy(p) == local(p), s"seed=$seed p=$p")
+      val local = PlaqueTest.pipeline(inst, fds, 180001)(MonteCarlo.sample(_, 180001, seed, 1))
+      for (p <- inst.positions) assert(run.entropy(p) == local.entropy(p), s"seed=$seed p=$p")
     }
   }
 
@@ -236,11 +244,11 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
       val prep = Experiments.prepare(spark, d)
       val run = PlaqueTest.run(spark, prep.inst, prep.fds, 20000, 42)
       val replica = MonteCarlo.estimateSpark(spark, Clauses.forAllPositions(prep.inst, FDs.closure(prep.fds)), 20000, 42)
-      val local = MonteCarlo.matrixLocal(prep.inst, prep.fds, 20000, 42)
+      val local = PlaqueTest.pipeline(prep.inst, prep.fds, 20000)(MonteCarlo.sample(_, 20000, 42, 1))
       assert(replica.keySet == run.nonUnique && run.nonUnique.nonEmpty, d)
       for (p <- prep.inst.positions) {
         assert(run.entropy(p) == replica.getOrElse(p, 1.0), s"$d at $p")
-        assert(run.entropy(p) == local(p), s"$d at $p")
+        assert(run.entropy(p) == local.entropy(p), s"$d at $p")
       }
     }
   }
@@ -315,7 +323,7 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
         (s"seed $seed", inst, fds)
       }
     for ((name, inst, fds) <- cases) {
-      val masked = Clauses.index(inst, FDs.closure(fds)).toSeq.map { case (p, l) => p -> l.mc }
+      val masked = Clauses.forAllPositions(inst, FDs.closure(fds)).toSeq.map { case (p, cls) => p -> MonteCarlo.mask(cls) }
       for (iters <- Seq(1L, 64L, 25000L, 25001L, 180001L)) {
         val one = MonteCarlo.sample(masked, iters, 11, 1).toSeq
         assert(one.size == masked.size, s"$name, $iters iterations")

@@ -64,6 +64,16 @@ class PlaqueTestSpec extends AnyFunSuite with SparkSpec {
     assert(res.entropies(0)(1) < 0.001)
   }
 
+  test("on a 0-row instance every statistic reads as on a plaque-free one") {
+    val empty = Instance(Vector("A", "B", "C"), Vector.empty)
+    for (res <- Seq(PlaqueTest.run(spark, empty, Vector(FD(Set(0), 1)), 1000), PlaqueTest.runExact(empty, Vector(FD(Set.empty, 2))))) {
+      assert(res.cells == 0 && res.classes == 0 && res.nonUnique.isEmpty)
+      assert(res.fractionOnes == 1.0 && res.minEntropy == 1.0 && res.cellsBelowOne == 0)
+      assert(res.zeroColumns().isEmpty && res.plaqueColumns.isEmpty)
+      assert(res.histogram().forall(_._2 == 0))
+    }
+  }
+
   test("histogram buckets cover all cells") {
     val res = PlaqueTest.runExact(ex34, fds)
     val h = res.histogram(0.05)
@@ -163,7 +173,6 @@ class PlaqueTestSpec extends AnyFunSuite with SparkSpec {
         "runExact" -> (() => PlaqueTest.runExact(ex34, fdsWithBad)),
         "naive" -> (() => ExactEntropy.naive(ex34, fdsWithBad)),
         "optimized" -> (() => ExactEntropy.optimized(ex34, fdsWithBad)),
-        "matrixLocal" -> (() => MonteCarlo.matrixLocal(ex34, fdsWithBad, 1000)),
       )
       for ((entry, call) <- entries) {
         val e = intercept[IllegalArgumentException](call())

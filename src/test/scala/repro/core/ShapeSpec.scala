@@ -17,47 +17,43 @@ import repro.exp.{Experiments, Fig3Exp}
 class ShapeSpec extends AnyFunSuite with SparkSpec {
 
   /** Non-unique positions of `inst` under `fds`, grouped by shape, each class in ascending `(row, col)` order. */
-  private def classes(inst: Instance, fds: Seq[FD]): (Map[Pos, Clauses.Lowered], Seq[Vector[Pos]]) = {
-    val index = Clauses.index(inst, FDs.closure(fds))
-    val sorted = index.keys.toVector.sortBy(p => (p.row, p.col))
+  private def classes(inst: Instance, fds: Seq[FD]): (Map[Pos, Vector[Set[Pos]]], Seq[Vector[Pos]]) = {
+    val all = Clauses.forAllPositions(inst, FDs.closure(fds))
+    val sorted = all.keys.toVector.sortBy(p => (p.row, p.col))
     val shape = TestGen.shapes(inst.arity)
-    val byKey = sorted.groupBy(p => shape(p, index(p)).toRight(p))
-    (index, byKey.values.map(_.sortBy(p => (p.row, p.col))).toSeq)
+    val byKey = sorted.groupBy(p => shape(p, all(p)).toRight(p))
+    (all, byKey.values.map(_.sortBy(p => (p.row, p.col))).toSeq)
   }
 
-  /** Each position's representative under `TestGen.shapes` on lowered
-    * clauses over `arity` columns: the least `(row, col)` position of its class.
+  /** Each position's representative under `TestGen.shapes` on clauses over
+    * `arity` columns: the least `(row, col)` position of its class.
     */
-  private def shapeReps(lowered: Map[Pos, Clauses.Lowered], arity: Int): Map[Pos, Pos] = {
+  private def shapeReps(clausesByPos: Map[Pos, Seq[Set[Pos]]], arity: Int): Map[Pos, Pos] = {
     val shape = TestGen.shapes(arity)
     val first = scala.collection.mutable.HashMap.empty[ArraySeq[Long], Pos]
-    lowered.keys.toVector.sortBy(p => (p.row, p.col)).map(p => p -> shape(p, lowered(p)).fold(p)(first.getOrElseUpdate(_, p))).toMap
-  }
-
-  /** `clauses` lowered by `MonteCarlo.mask`, with clause cell `v` as `row · arity + col`. */
-  private def lowered(clauses: Seq[Set[Pos]], arity: Int): Clauses.Lowered = {
-    val cells = clauses.flatMap(_.toSeq.sortBy(p => (p.row, p.col))).distinct.map(p => p.row * arity + p.col)
-    Clauses.Lowered(MonteCarlo.mask(clauses), cells.toArray)
+    clausesByPos.keys.toVector.sortBy(p => (p.row, p.col)).map(p => p -> shape(p, clausesByPos(p)).fold(p)(first.getOrElseUpdate(_, p))).toMap
   }
 
   /** `Clauses.classes` against the `TestGen.shapes` oracle: the same
     * representative for every position, a class id exactly on the non-unique
     * cells, the representatives in ascending `(row, col)` order at their own
     * class ids, and each representative lowered element for element as
-    * `Clauses.index` lowers it. Returns the classes' sizes.
+    * `MonteCarlo.mask` lowers its `forAllPositions` clauses. Returns the
+    * classes' sizes.
     */
   private def assertClasses(inst: Instance, closed: Seq[FD], at: String): Seq[Int] = {
-    val index = Clauses.index(inst, closed)
+    val all = Clauses.forAllPositions(inst, closed)
     val (classOf, reps) = Clauses.classes(inst, closed, Partition.of(inst))
     val cell = (p: Pos) => p.row * inst.arity + p.col
     val nonUnique = Uniqueness.nonUniquePositions(inst, closed)
     assert(inst.positions.forall(p => (classOf(cell(p)) >= 0) == nonUnique(p)), at)
     assert(reps.map(_._1) == reps.map(_._1).sortBy(p => (p.row, p.col)), at)
     assert(reps.indices.forall(i => classOf(cell(reps(i)._1)) == i), at)
-    assert(nonUnique.map(p => p -> reps(classOf(cell(p)))._1).toMap == shapeReps(index, inst.arity), at)
+    assert(nonUnique.map(p => p -> reps(classOf(cell(p)))._1).toMap == shapeReps(all, inst.arity), at)
     for ((p, mc) <- reps) {
-      assert(mc.nVars == index(p).mc.nVars, s"$at, $p")
-      assert(mc.vars.map(_.toSeq).toSeq == index(p).mc.vars.map(_.toSeq).toSeq, s"$at, $p")
+      val want = MonteCarlo.mask(all(p))
+      assert(mc.nVars == want.nVars, s"$at, $p")
+      assert(mc.vars.map(_.toSeq).toSeq == want.vars.map(_.toSeq).toSeq, s"$at, $p")
     }
     classOf.filter(_ >= 0).groupBy(identity).values.map(_.length).toSeq
   }
@@ -68,7 +64,7 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     FDs.closure(fds.filterNot(f => partition(f.lhs).key))
   }
 
-  test("Clauses.classes gives the classes of TestGen.shapes and lowers representatives as index does (1,400 instances)") {
+  test("Clauses.classes gives the classes of TestGen.shapes and lowers representatives as mask does (1,400 instances)") {
     var shared = 0
     for ((name, inst, fds) <- TestGen.pipelineCases)
       shared += assertClasses(inst, nonKeyClosure(inst, fds), name).count(_ > 1)
@@ -79,8 +75,9 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     var shared = 0
     for ((name, inst, fds) <- TestGen.pipelineCases) {
       val closed = nonKeyClosure(inst, fds)
-      val repOf = Clauses.representatives(Clauses.forAllPositions(inst, closed))
-      assert(repOf == shapeReps(Clauses.index(inst, closed), inst.arity), name)
+      val all = Clauses.forAllPositions(inst, closed)
+      val repOf = Clauses.representatives(all)
+      assert(repOf == shapeReps(all, inst.arity), name)
       shared += repOf.values.groupBy(identity).count(_._2.size > 1)
     }
     assert(shared > 500, s"only $shared classes with two or more members")
@@ -116,7 +113,7 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
       Pos(32, 0) -> Vector(c(32, Seq(64), 33, Seq(0, 64))),
     )
     val repOf = Clauses.representatives(clauses)
-    assert(repOf == shapeReps(clauses.map { case (p, cls) => p -> lowered(cls, 66) }, 66))
+    assert(repOf == shapeReps(clauses, 66))
     val merged = Map(Pos(11, 2) -> Pos(10, 0), Pos(18, 0) -> Pos(12, 0), Pos(17, 0) -> Pos(14, 0), Pos(32, 0) -> Pos(28, 0))
     assert(repOf == clauses.keys.map(p => p -> merged.getOrElse(p, p)).toMap)
   }
@@ -152,10 +149,10 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
       (0 until 800).map(TestGen.instanceWithFds(_, 6, 5, 3))
     var shared = 0
     for (((inst, fds), i) <- instances.zipWithIndex) {
-      val (index, cls) = classes(inst, fds)
+      val (all, cls) = classes(inst, fds)
       for (members <- cls if members.size > 1) {
-        val small = members.filter(p => index(p).mc.nVars <= 18)
-        val values = small.map(p => TestGen.referenceViaClauses(index(p).clauses(inst.arity)))
+        val small = members.filter(p => MonteCarlo.mask(all(p)).nVars <= 18)
+        val values = small.map(p => TestGen.referenceViaClauses(all(p)))
         assert(values.distinct.size <= 1, s"instance $i, class $members: $values")
         if (small.size > 1) shared += 1
       }
@@ -173,11 +170,11 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     }
     for ((name, inst, fds) <- cases) {
       val res = PlaqueTest.run(spark, inst, fds, 30001, 3)
-      val (index, cls) = classes(inst, fds)
+      val (all, cls) = classes(inst, fds)
       assert(res.classes == cls.size, name)
       for (members <- cls) {
         val rep = members.head
-        val alone = MonteCarlo.sample(Seq(rep -> index(rep).mc), 30001, 3, 1).head
+        val alone = MonteCarlo.sample(Seq(rep -> MonteCarlo.mask(all(rep))), 30001, 3, 1).head
         assert(res.entropy(rep) == alone, s"$name: representative $rep")
         for (p <- members.tail) assert(res.entropy(p) == res.entropy(rep), s"$name: $p vs representative $rep")
       }
@@ -214,16 +211,16 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     val inst = Instance(Vector.tabulate(70)(k => s"A$k"), rows)
     // Already closed; `FDs.closure` itself takes column indices below 64 only.
     val fds = Vector(FD(Set(64), 0), FD(Set(65, 66), 0))
-    val index = Clauses.index(inst, fds)
+    val all = Clauses.forAllPositions(inst, fds)
     val shape = TestGen.shapes(70)
-    assert(shape(Pos(0, 0), index(Pos(0, 0))) != shape(Pos(2, 0), index(Pos(2, 0))))
-    val repOf = Clauses.representatives(Clauses.forAllPositions(inst, fds))
-    assert(repOf == shapeReps(index, 70))
+    assert(shape(Pos(0, 0), all(Pos(0, 0))) != shape(Pos(2, 0), all(Pos(2, 0))))
+    val repOf = Clauses.representatives(all)
+    assert(repOf == shapeReps(all, 70))
     assert(repOf.values.toSet == Set(Pos(0, 0), Pos(2, 0)))
-    val exact = repOf.map { case (p, rep) => p -> ExactEntropy.viaClauses(rep, index(rep).mc) }
+    val exact = repOf.map { case (p, rep) => p -> ExactEntropy.viaClauses(rep, MonteCarlo.mask(all(rep))) }
     assert(assertClasses(inst, fds, "70 columns") == Seq(2, 2))
     assert(exact == Map(Pos(0, 0) -> 0.875, Pos(1, 0) -> 0.875, Pos(2, 0) -> 31.0 / 32, Pos(3, 0) -> 31.0 / 32))
-    val est = MonteCarlo.estimateSpark(spark, Clauses.forAllPositions(inst, fds), 20000, 5)
+    val est = MonteCarlo.estimateSpark(spark, all, 20000, 5)
     for ((p, e) <- exact) assert(math.abs(est(p) - e) < 0.02, s"at $p: ${est(p)} vs $e")
   }
 

@@ -328,8 +328,8 @@ object TestGen {
 
   /** The per-clause mask key that `Clauses.classes` (on the partitions) and
     * `Clauses.representatives` (on clauses over positions) replaced, kept as
-    * the oracle of both: the clause shape of a position `p` with lowered
-    * clauses over `arity` columns. For each row other than `p.row`, the
+    * the oracle of both: the clause shape of a position `p` with clauses
+    * over `arity` columns. For each row other than `p.row`, the
     * sorted list of `(columns in p.row, columns in that row)` masks of the
     * clauses that touch it, `⌈arity / 64⌉` words per mask, and these per-row
     * lists as a canonical multiset. `None` if a clause touches no row or two
@@ -339,31 +339,28 @@ object TestGen {
     * per-row list in one table, so that the sorts run on primitive ids; its
     * shapes compare only with shapes from the same function.
     */
-  def shapes(arity: Int): (Pos, Clauses.Lowered) => Option[ArraySeq[Long]] = {
+  def shapes(arity: Int): (Pos, Seq[Set[Pos]]) => Option[ArraySeq[Long]] = {
     val w = (arity + 63) / 64
     val ids = scala.collection.mutable.HashMap.empty[ArraySeq[Long], Long]
     def id(words: Array[Long]): Long = ids.getOrElseUpdate(ArraySeq.unsafeWrapArray(words), ids.size.toLong)
     // Clause `c` of `p`: its other row in the high half and the id of its
     // mask pair in the low half, or -1 if it touches no row or two rows besides p.row.
-    def entry(p: Pos, l: Clauses.Lowered, c: Array[Int]): Long = {
+    def entry(p: Pos, c: Set[Pos]): Long = {
       val masks = new Array[Long](2 * w)
       var other = -1
-      var k = 0
-      while (k < c.length) {
-        val row = l.cells(c(k)) / arity
-        val col = l.cells(c(k)) % arity
+      val cells = c.iterator
+      while (cells.hasNext) {
+        val Pos(row, col) = cells.next()
         if (row == p.row) masks(col / 64) |= 1L << col
         else if (other == -1 || other == row) { other = row; masks(w + col / 64) |= 1L << col }
         else return -1L
-        k += 1
       }
       if (other == -1) -1L else other.toLong << 32 | id(masks)
     }
-    (p, l) => {
-      val clauses = l.mc.vars
+    (p, clauses) => {
       val byRow = new Array[Long](clauses.length)
       var i = 0
-      while (i < clauses.length && { byRow(i) = entry(p, l, clauses(i)); byRow(i) >= 0 }) i += 1
+      while (i < clauses.length && { byRow(i) = entry(p, clauses(i)); byRow(i) >= 0 }) i += 1
       if (i < clauses.length) None
       else {
         java.util.Arrays.sort(byRow)

@@ -60,7 +60,7 @@ class UniquenessSpec extends AnyFunSuite with SparkSpec with AdaptiveSparkPlanHe
       val nu = Uniqueness.nonUniquePositions(inst, fds)
       val withClauses = inst.positions.filter(TestGen.referenceClauses(inst, fds, _).nonEmpty).toSet
       assert(nu == withClauses, s"input $i fds=$fds inst=$inst")
-      assert(nu == Clauses.index(inst, fds).keySet, s"input $i fds=$fds inst=$inst")
+      assert(nu == Clauses.forAllPositions(inst, fds).keySet, s"input $i fds=$fds inst=$inst")
     }
   }
 

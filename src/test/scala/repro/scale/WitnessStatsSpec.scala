@@ -66,6 +66,7 @@ class WitnessStatsSpec extends AnyFunSuite with SparkSpec {
     for (lhs <- Seq(Seq("mean_radius"), Nil)) {
       assert(FDDiscovery.holdsSpark(empty, lhs, "planet"), lhs)
       val prof = WitnessStats.profile(spark, empty, Seq(lhs -> "planet")).collect()(0)
+      assert(prof.getString(0) == (if (lhs.isEmpty) "∅" else "mean_radius") + " -> planet", prof)
       assert(prof.getBoolean(1) && (2 to 5).forall(prof.getLong(_) == 0L), prof)
     }
   }

@@ -19,19 +19,25 @@ import repro.core.MonteCarlo.MaskedClauses
   *
   * Hence `(I_{Q←X})_{p←a} ⊨ F*` iff **every** witness clause contains at
   * least one position of `Q` — a monotone-CNF "hit every clause" condition.
-  * The plaque pipeline reads [[classes]], which lowers the clauses of class
-  * representatives by `MonteCarlo.number`, as `MonteCarlo.mask` lowers them
-  * over positions; [[forAllPositions]] gives every non-unique position's
+  * The plaque pipeline reads [[classes]], one [[Rep]] per class, whose
+  * signatures the exact value factorises over and whose lowered clauses the
+  * sampler draws; [[forAllPositions]] gives every non-unique position's
   * clauses over positions, and [[representatives]] keys their classes.
   * The equivalence with the literal Definition 2.4 check (a `TestGen`
   * oracle) is exercised property-style in the test suite.
   */
 object Clauses {
 
+  /** A class representative `pos = (j, B)` as the estimators read it: the
+    * LHS columns of the closed FDs with RHS `B` in FD order, the class key
+    * ([[classes]]: its witness rows' signatures over those FDs) and its
+    * witness clauses lowered as `MonteCarlo.mask` lowers [[forAllPositions]]'s.
+    */
+  private[core] final case class Rep(pos: Pos, lhs: Array[Array[Int]], sigs: ArraySeq[Long], clauses: MaskedClauses)
+
   /** The clause-shape classes of the non-unique positions, read off the
     * partitions: the class id of every cell `row · arity + col` (−1 for a
-    * unique cell), and the representatives with their clauses lowered as
-    * `MonteCarlo.mask` lowers [[forAllPositions]]'s, class `i`'s at index
+    * unique cell), and the representatives ([[Rep]]), class `i`'s at index
     * `i`, in ascending `(row, col)` order.
     *
     * A witness clause of `p = (j, B)` from `L → B` has the cells `L` in row
@@ -48,11 +54,11 @@ object Clauses {
     * `(row, col)` position. `closedFds` is as for [[forAllPositions]].
     */
   private[core] def classes(inst: Instance, closedFds: Seq[FD], partition: Set[Int] => Partition)
-      : (Array[Int], Vector[(Pos, MaskedClauses)]) = {
+      : (Array[Int], Vector[Rep]) = {
     val n = inst.nRows
     val w = new Witnesses(closedFds, partition)
     val classOf = Array.fill(inst.nCells)(-1)
-    val reps = scala.collection.mutable.ArrayBuffer.empty[(Pos, MaskedClauses)]
+    val reps = scala.collection.mutable.ArrayBuffer.empty[Rep]
     val words = w.groups.map(g => (g.length + 63) / 64)
     val sig = new Array[Long](n * words.foldLeft(0)(math.max))
     val first = Array.fill(w.rhs.length)(scala.collection.mutable.HashMap.empty[ArraySeq[Long], Int])
@@ -80,8 +86,9 @@ object Clauses {
           k += 1
         }
       }
-      classOf(j * inst.arity + w.rhs(b)) = first(b).getOrElseUpdate(ArraySeq.unsafeWrapArray(sorted(sig, ws, rows, t)), {
-        reps += Pos(j, w.rhs(b)) -> MonteCarlo.number(w.clauses(b, j))
+      val key = ArraySeq.unsafeWrapArray(sorted(sig, ws, rows, t))
+      classOf(j * inst.arity + w.rhs(b)) = first(b).getOrElseUpdate(key, {
+        reps += Rep(Pos(j, w.rhs(b)), w.lhs(b), key, MonteCarlo.number(w.clauses(b, j)))
         reps.size - 1
       })
     }
@@ -114,7 +121,8 @@ object Clauses {
     val rhs: Array[Int] = byRhs.map(_._1)
     /** The LHS partitions of group `b`'s FDs, in FD order. */
     val groups: Array[Array[Partition]] = byRhs.map(_._2.map(f => partition(f.lhs)).toArray)
-    private val lhs = byRhs.map(_._2.map(_.lhs.toArray).toArray)
+    /** The LHS columns of group `b`'s FDs, in FD order. */
+    val lhs: Array[Array[Array[Int]]] = byRhs.map(_._2.map(_.lhs.toArray).toArray)
 
     /** Whether `(j, rhs(b))` has a witness row under one of group `b`'s FDs. */
     def shared(b: Int, j: Int): Boolean = groups(b).exists(_.shared(j))

@@ -1,9 +1,9 @@
 package repro.core
 
 /** Exact entropy: Table 1's Prop. 2.9 enumeration, unoptimized and with the
-  * paper's optimizations, plus the clause-based exact evaluation behind
-  * `PlaqueTest.runExact`. Both Table 1 configurations run one Def. 2.4
-  * check, [[Kernel]], which keeps the paper's per-subset cost (see
+  * paper's optimizations, plus the per-class formula behind
+  * `PlaqueTest.runExact` ([[ofClass]]). Both Table 1 configurations run one
+  * Def. 2.4 check, [[Kernel]], which keeps the paper's per-subset cost (see
   * [[compute]]).
   */
 object ExactEntropy {
@@ -143,7 +143,7 @@ object ExactEntropy {
     * times the paper's algorithm, so every subset is evaluated, each checks
     * every FD of `closedFds` on every row pair, and values are compared
     * inside the subset loop: no sharing across subsets, no precomputed value
-    * agreement (that is [[viaClauses]]), one thread. Throws if the instance
+    * agreement (that is [[ofClass]]), one thread. Throws if the instance
     * has more than [[MaxCells]] cells. Returns `Double.NaN` if
     * `deadlineNanos` passes mid-enumeration (the paper's aborted 24-hour
     * runs).
@@ -162,26 +162,40 @@ object ExactEntropy {
     count.toDouble / total
   }
 
-  /** Largest clause-cell union [[viaClauses]] enumerates (2^26 subsets). */
-  private val MaxVars = 26
-
-  /** Fast exact value via witness clauses: cells appearing in no clause of
-    * `p` cannot influence fulfilment, so it suffices to enumerate the subsets
-    * of the clause-cell union (each outside cell contributes a factor
-    * `2 / 2 = 1`). Exact, and exponential only in the number of *involved*
-    * cells. The `2^n` subsets run through the Monte-Carlo sampler's clause
-    * loop with every subset as one lane (`MonteCarlo.Kernel.exact`), bit for
-    * bit what a subset-at-a-time loop gives. `mc` are the lowered clauses of
-    * `p`, which a refusal names.
+  /** Exact `INF` (Prop. 2.9) of a class representative `p = (j, B)` from
+    * its witness-row signatures. Fix the deleted cells `S` of `p`'s row,
+    * within the union `R` of the LHSs of the FDs in any signature (no other
+    * cell of that row is in a clause). Witness rows have disjoint clause
+    * cells (§3.1), so row `w` hits its clauses independently, with
+    * probability `P_w(S) = ½ + ½·h`: `(w, B)` is deleted, or its deleted cells
+    * meet the LHS of every FD of its signature whose LHS misses `S`, a
+    * fraction `h` of the deletion sets of those LHSs' union. So `INF =
+    * 2^-|R| · Σ_{S ⊆ R} Π_w P_w(S)`, exponential only in `|R|`. More than 64
+    * closed FDs on `B`, an LHS column of 64 or more, or more than 26 cells
+    * in `R` is an `IllegalArgumentException` naming `p`.
     */
-  private[core] def viaClauses(p: Pos, mc: MonteCarlo.MaskedClauses): Double = {
-    require(mc.nVars <= MaxVars, s"clause-cell union of position $p has ${mc.nVars} cells, more than the $MaxVars exact enumeration allows")
-    new MonteCarlo.Kernel(mc).exact
+  private[core] def ofClass(c: Clauses.Rep): Double = {
+    require(c.lhs.length <= 64, s"position ${c.pos} has ${c.lhs.length} closed FDs on its RHS, more than the 64 exact evaluation allows")
+    require(c.lhs.forall(_.forall(_ < 64)), s"position ${c.pos} has an LHS column of 64 or more, which exact evaluation refuses")
+    val lhs = c.lhs.map(_.foldLeft(0L)((m, k) => m | 1L << k))
+    val rows = c.sigs.map(sig => lhs.indices.collect { case f if (sig >>> f & 1L) != 0 => lhs(f) })
+    val r = rows.iterator.flatten.foldLeft(0L)(_ | _)
+    require(java.lang.Long.bitCount(r) <= 26,
+      s"position ${c.pos} has ${java.lang.Long.bitCount(r)} LHS cells in its own row, more than the 26 exact evaluation allows")
+    mean(r)(s => rows.foldLeft(1.0) { (product, sig) =>
+      val live = sig.filter(l => (l & s) == 0L)
+      product * (0.5 + 0.5 * mean(live.foldLeft(0L)(_ | _))(t => if (live.forall(l => (l & t) != 0L)) 1.0 else 0.0))
+    })
   }
 
-  /** Clause-based exact entropy matrix (every position's clause-cell union
-    * must have at most 26 cells).
-    */
+  /** The mean of `f` over the subsets of the bits of `m`, `m` first. */
+  private def mean(m: Long)(f: Long => Double): Double = {
+    var (s, sum) = (m, f(m))
+    while (s != 0L) { s = (s - 1) & m; sum += f(s) }
+    sum / (1L << java.lang.Long.bitCount(m))
+  }
+
+  /** Exact entropy matrix of `PlaqueTest.runExact`, refused as there. */
   def clauseMatrix(inst: Instance, fds: Seq[FD]): Map[Pos, Double] =
     PlaqueTest.runExact(inst, fds).byPosition
 }

@@ -22,8 +22,8 @@ import org.apache.spark.sql.SparkSession
   * bound holds unchanged. A witness clause of an FD with `s` LHS columns has
   * `2s + 1` cells; those of at most 3 cells (`s ≤ 1`, every clause of the
   * five mimics) are evaluated in one unrolled pass over a flat index array.
-  * The same clause loop gives `ExactEntropy.viaClauses` its exact value
-  * (Prop. 2.9) with every deletion set of the clause cells as one lane.
+  * The exact value (`ExactEntropy.ofClass`) needs no clause loop: it is a
+  * short formula over the class's witness-row signatures.
   *
   * Non-unique cells whose clauses have the same shape (`Clauses.classes`)
   * share one estimate, that of the class's least `(row, col)` cell. Its
@@ -93,15 +93,7 @@ object MonteCarlo {
     */
   private[core] val Gamma = 0x9e3779b97f4a7c15L
 
-  /** Lane patterns of clause cells 0–5 for exact enumeration: lane `l` of
-    * word `v` is bit `v` of `l`.
-    */
-  private val LowCells = Array(
-    0xaaaaaaaaaaaaaaaaL, 0xccccccccccccccccL, 0xf0f0f0f0f0f0f0f0L,
-    0xff00ff00ff00ff00L, 0xffff0000ffff0000L, 0xffffffff00000000L)
-
-  /** A clause set laid out once for the one bit-sliced clause loop, [[count]],
-    * which both word sources feed: [[hits]] samples, [[exact]] enumerates.
+  /** A clause set laid out once for the bit-sliced clause loop of [[hits]].
     * Clauses of 1–3 cells go into one flat array, three word indices each, a
     * shorter clause padded by repeating a cell (OR is idempotent); longer and
     * empty clauses keep a loop over their cells.
@@ -115,16 +107,18 @@ object MonteCarlo {
     private val long = mc.vars.filter(c => c.length == 0 || c.length > 3)
     private val offs = Array.tabulate(mc.nVars)(v => (v + 1) * Gamma)
 
-    /** Number of `lanes` lanes, 64 per batch, that hit every clause, where
-      * `fill(t)` writes batch `t`'s words into `deleted`. The AND does not
-      * depend on the order, so the count is that of a clause-by-clause pass.
+    /** Number of `iters` samples of the stream seeded `seed` that hit every
+      * clause, 64 per batch. The AND does not depend on the order, so the
+      * count is that of a clause-by-clause pass.
       */
-    private def count(lanes: Long, deleted: Array[Long])(fill: Long => Unit): Long = {
-      var t = 0L
+    def hits(iters: Long, seed: Long): Long = {
+      val deleted = new Array[Long](offs.length)
+      var base = seed
       var total = 0L
-      var left = lanes
+      var left = iters
       while (left > 0) {
-        fill(t)
+        var v = 0
+        while (v < deleted.length) { deleted(v) = mix64(base + offs(v)); v += 1 }
         // Lanes still hitting every clause; the last batch counts `left` lanes.
         var alive = if (left >= 64) -1L else (1L << left) - 1
         var i = 0
@@ -143,33 +137,9 @@ object MonteCarlo {
         }
         total += java.lang.Long.bitCount(alive)
         left -= 64
-        t += 1
+        base += offs.length * Gamma
       }
       total
-    }
-
-    /** Number of `iters` samples of the stream seeded `seed` that hit every clause. */
-    def hits(iters: Long, seed: Long): Long = {
-      val deleted = new Array[Long](offs.length)
-      val stride = offs.length * Gamma
-      count(iters, deleted) { t =>
-        val base = seed + t * stride
-        var v = 0
-        while (v < deleted.length) { deleted(v) = mix64(base + offs(v)); v += 1 }
-      }
-    }
-
-    /** Exact fraction of the `2^nVars` deletion sets of the clause cells that
-      * hit every clause, over `64 · 2^max(nVars − 6, 0)` lanes: cells 0–5 are
-      * the [[LowCells]] patterns, and word `v ≥ 6` is all ones or all zeros,
-      * bit `v − 6` of batch `t`'s Gray code, so batch `t ≥ 1` flips word
-      * `6 + tz(t)`. With fewer than 6 cells each set fills `2^(6 − nVars)`
-      * lanes, which leaves the fraction unchanged (no clause gives 1).
-      */
-    def exact: Double = {
-      val deleted = Array.tabulate(offs.length)(v => if (v < 6) LowCells(v) else 0L)
-      val lanes = 64L << math.max(offs.length - 6, 0)
-      count(lanes, deleted)(t => if (t > 0) deleted(6 + java.lang.Long.numberOfTrailingZeros(t)) ^= -1L).toDouble / lanes
     }
   }
 

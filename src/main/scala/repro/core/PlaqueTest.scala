@@ -5,11 +5,12 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 /** End-to-end "plaque test": per-cell entropy matrix for a relation instance
   * under a set of functional dependencies (the paper's visualization input).
   *
-  * Pipeline = closure (§2.1) → clause-shape classes → lowered witness clauses
-  * (§3.1) of one position per class → an estimator for those, whose values
-  * their classes share; every other position is unique and gets 1
-  * (Prop. 3.2). [[run]] estimates by Monte Carlo (§3.2) on the session's
-  * cores as driver threads, [[runExact]] exactly (Prop. 2.9).
+  * Pipeline = closure (§2.1) → clause-shape classes → one position per
+  * class with its witness-row signatures and lowered witness clauses (§3.1)
+  * → an estimator for those, whose values their classes share; every other
+  * position is unique and gets 1 (Prop. 3.2). [[run]] samples the clauses by
+  * Monte Carlo (§3.2) on the session's cores as driver threads, [[runExact]]
+  * evaluates the signatures exactly (Prop. 2.9).
   */
 object PlaqueTest {
 
@@ -115,25 +116,27 @@ object PlaqueTest {
       iterations: Long,
       seed: Long = 42,
   ): Result =
-    pipeline(inst, fds, iterations)(MonteCarlo.sample(_, iterations, seed, MonteCarlo.workers(spark)))
+    pipeline(inst, fds, iterations)(reps => MonteCarlo.sample(reps.map(r => r.pos -> r.clauses), iterations, seed, MonteCarlo.workers(spark)))
 
-  /** Run the plaque test with *exact* clause-based entropies. Only class
-    * representatives are enumerated, so a class whose clause-cell union
-    * exceeds 26 cells is an `IllegalArgumentException` naming the least such
-    * representative (a class's least position) and its union size.
+  /** Run the plaque test with *exact* entropies, each class's from its
+    * witness-row signatures (`ExactEntropy.ofClass`). A class with more than
+    * 64 closed FDs on its RHS or more than 26 LHS cells in its own row is an
+    * `IllegalArgumentException` naming the least such representative (a
+    * class's least position) and that count.
     */
   def runExact(inst: Instance, fds: Seq[FD]): Result =
-    pipeline(inst, fds, 0L)(_.map { case (p, mc) => ExactEntropy.viaClauses(p, mc) }.toArray)
+    pipeline(inst, fds, 0L)(_.map(ExactEntropy.ofClass).toArray)
 
   /** The one plaque pipeline: check `I ⊨ F`, close the FDs of `F` whose
     * LHS is not a key of `I` (§2.1), key every non-unique position's
     * clause-shape class once (`Clauses.classes`, keyed off the same memoized
-    * [[Partition]] as the check, so each LHS is grouped once), lower the
-    * witness clauses (§3.1) of each class's least `(row, col)` position only,
-    * and estimate those. `estimate` receives the representatives' non-empty
-    * clause sets in ascending `(row, col)` order and must return one value
-    * per entry, in the same order; [[Result]] gives each class member its
-    * representative's value and every other position `INF = 1` (Prop. 3.2).
+    * [[Partition]] as the check, so each LHS is grouped once), describe
+    * each class's least `(row, col)` position only, by its witness-row
+    * signatures and lowered witness clauses (§3.1, `Clauses.Rep`), and
+    * estimate those. `estimate` receives the representatives in ascending
+    * `(row, col)` order and must return one value per entry, in the same
+    * order; [[Result]] gives each class member its representative's value and
+    * every other position `INF = 1` (Prop. 3.2).
     *
     * The clause reformulation assumes `I ⊨ F` (hence `I ⊨ F*`), so an FD
     * that does not hold is rejected ([[FDs.requireHolds]]).
@@ -148,7 +151,7 @@ object PlaqueTest {
     * The 64-column limit of [[FDs.closure]] binds only the non-key FDs.
     */
   private[core] def pipeline(inst: Instance, fds: Seq[FD], iterations: Long)(
-      estimate: Seq[(Pos, MonteCarlo.MaskedClauses)] => Array[Double]): Result = {
+      estimate: Seq[Clauses.Rep] => Array[Double]): Result = {
     val partition = Partition.of(inst)
     FDs.requireHolds(inst, fds, partition)
     val closed = FDs.closure(fds.filterNot(f => partition(f.lhs).key))

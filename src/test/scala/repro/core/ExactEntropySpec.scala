@@ -31,7 +31,7 @@ class ExactEntropySpec extends AnyFunSuite {
   test("Example 3.4: viaClauses matches the naive value exactly") {
     for (p <- ex34.positions) {
       val n = ExactEntropy.compute(ex34, closed, p)
-      val c = TestGen.viaClauses(TestGen.referenceClauses(ex34, closed, p))
+      val c = TestGen.referenceViaClauses(TestGen.referenceClauses(ex34, closed, p))
       assert(math.abs(n - c) < 1e-12, s"at $p")
     }
   }
@@ -45,12 +45,12 @@ class ExactEntropySpec extends AnyFunSuite {
   }
 
   test("viaClauses of an empty clause set is 1") {
-    assert(TestGen.viaClauses(Vector.empty) == 1.0)
+    assert(TestGen.referenceViaClauses(Vector.empty) == 1.0)
   }
 
   test("viaClauses of a single 3-cell clause is 7/8") {
     val cls = Vector(Set(Pos(0, 0), Pos(1, 0), Pos(1, 2)))
-    assert(math.abs(TestGen.viaClauses(cls) - 0.875) < 1e-12)
+    assert(math.abs(TestGen.referenceViaClauses(cls) - 0.875) < 1e-12)
   }
 
   test("viaClauses of two disjoint 3-cell clauses is (7/8)^2") {
@@ -58,7 +58,7 @@ class ExactEntropySpec extends AnyFunSuite {
       Set(Pos(0, 0), Pos(1, 0), Pos(1, 2)),
       Set(Pos(2, 0), Pos(3, 0), Pos(3, 2)),
     )
-    assert(math.abs(TestGen.viaClauses(cls) - 0.875 * 0.875) < 1e-12)
+    assert(math.abs(TestGen.referenceViaClauses(cls) - 0.875 * 0.875) < 1e-12)
   }
 
   test("viaClauses of two pivot-sharing clauses is 25/32 (Example 1.1 shape)") {
@@ -66,65 +66,41 @@ class ExactEntropySpec extends AnyFunSuite {
       Set(Pos(0, 0), Pos(1, 0), Pos(1, 1)),
       Set(Pos(0, 0), Pos(2, 0), Pos(2, 1)),
     )
-    assert(math.abs(TestGen.viaClauses(cls) - 25.0 / 32.0) < 1e-12)
+    assert(math.abs(TestGen.referenceViaClauses(cls) - 25.0 / 32.0) < 1e-12)
   }
 
   test("viaClauses refuses oversized clause unions") {
     val big = Vector.tabulate(30)(i => Set(Pos(i, 0), Pos(i, 1)))
-    assertThrows[IllegalArgumentException](TestGen.viaClauses(big))
+    assertThrows[IllegalArgumentException](TestGen.referenceViaClauses(big))
   }
 
-  test("viaClauses accepts a 26-cell union and refuses a 27-cell one") {
-    // 13 disjoint 2-cell clauses: 3^13 of the 2^26 subsets hit every clause.
-    val pairs = Vector.tabulate(13)(i => Set(Pos(i, 0), Pos(i, 1)))
-    assert(TestGen.viaClauses(pairs) == 1594323.0 / (1L << 26))
-    assert(TestGen.referenceViaClauses(pairs) == 1594323.0 / (1L << 26))
-    val e = intercept[IllegalArgumentException](TestGen.viaClauses(pairs :+ Set(Pos(13, 0))))
-    assert(e.getMessage.contains("27 cells"), e.getMessage)
+  // Rows (0, MinValue), (0, MinValue), (1, MaxValue) under A → B: max + 1
+  // would wrap to MinValue, which rows 0 and 1 hold.
+  test("freshValue avoids Int.MaxValue + 1, so naive and runExact agree at the wrap") {
+    val inst = Instance(Vector("A", "B"), Vector(Vector(0, Int.MinValue), Vector(0, Int.MinValue), Vector(1, Int.MaxValue)))
+    val fresh = inst.freshValue(1)
+    assert(!inst.columns(1).contains(fresh))
+    val fds = Vector(FD(Set(0), 1))
+    val naive = ExactEntropy.naive(inst, fds).entropies
+    val exact = PlaqueTest.runExact(inst, fds)
+    for (p <- inst.positions) assert(naive(p) == exact.entropy(p), s"at $p")
+    assert(naive(Pos(0, 1)) == 0.875 && naive(Pos(1, 1)) == 0.875)
   }
 
-  // The truth-table kernel against the subset-at-a-time loop it replaced:
-  // every union size up to 20 cells, so every partial word (n < 6), one full
-  // word (n = 6) and several words (n ≥ 7).
-  for (n <- 0 to 20) {
-    test(s"viaClauses ≡ referenceViaClauses on random clause sets with a $n-cell union") {
-      for (seed <- 0 until 25) {
-        val cls = TestGen.clauseSet(n, 1000L * n + seed)
-        assert(MonteCarlo.mask(cls).nVars == n)
-        assert(TestGen.viaClauses(cls) == TestGen.referenceViaClauses(cls), s"seed $seed: $cls")
+  // The enumeration of `naive` and the per-class formula must agree bit for
+  // bit, at the class representatives and so at every member.
+  test("runExact is bit-equal to naive at every position (instanceWithFds seeds 0–399 of at most 16 cells)") {
+    var reps = 0
+    for (seed <- 0 until 400) {
+      val (inst, fds) = TestGen.instanceWithFds(seed)
+      if (inst.nCells <= 16) {
+        val closed = FDs.closure(fds)
+        val res = PlaqueTest.runExact(inst, fds)
+        for (p <- inst.positions) assert(res.entropy(p) == ExactEntropy.compute(inst, closed, p), s"seed $seed at $p")
+        reps += res.classes
       }
     }
-  }
-
-  test("random clause sets include low-only, high-only, mixed and duplicated clauses") {
-    val sets = for (n <- 0 to 20; seed <- 0 until 25) yield TestGen.clauseSet(n, 1000L * n + seed)
-    def kinds(cls: Vector[Set[Pos]]): Seq[Long] =
-      MonteCarlo.mask(cls).vars.toSeq.map(_.foldLeft(0L)((acc, v) => acc | 1L << v))
-    val bigger = sets.filter(cls => MonteCarlo.mask(cls).nVars > 6)
-    assert(bigger.count(kinds(_).exists(m => m != 0L && (m & ~63L) == 0L)) > 50, "low-only")
-    assert(bigger.count(kinds(_).exists(m => (m & 63L) == 0L)) > 50, "high-only")
-    assert(bigger.count(kinds(_).exists(m => (m & 63L) != 0L && (m & ~63L) != 0L)) > 50, "mixed")
-    assert(sets.count(cls => cls.distinct.size < cls.size) > 50, "duplicated")
-  }
-
-  test("viaClauses ≡ referenceViaClauses on low-only, high-only and duplicated clauses") {
-    val c = Vector.tabulate(16)(Pos(_, 0))
-    val low = Vector(Set(c(0), c(1)), Set(c(2)), Set(c(3), c(4), c(5)), Set(c(1), c(3)))
-    val cases = Vector(
-      low,
-      low.take(2),
-      low ++ low,
-      low :+ Set(c(6), c(7)) :+ Set(c(8)) :+ Set(c(9), c(10), c(11)),
-      low :+ Set(c(6), c(15)) :+ Set(c(6), c(15)) :+ Set(c(12), c(13), c(14)),
-      Vector(Set(c(0), c(6)), Set(c(1), c(7)), Set(c(2), c(3), c(4), c(5)), Set(c(8)), Set(c(8))),
-    )
-    for (cls <- cases) {
-      assert(TestGen.viaClauses(cls) == TestGen.referenceViaClauses(cls), s"$cls")
-      assert(TestGen.viaClauses(cls) == TestGen.viaClauses(TestGen.minimizeClauses(cls)))
-    }
-    // Every clause of `low` lowers to cells 0–5, the appended ones to cells ≥ 6.
-    val v = MonteCarlo.mask(cases(3)).vars
-    assert(v.take(4).forall(_.forall(_ < 6)) && v.drop(4).forall(_.forall(_ >= 6)))
+    assert(reps > 300, s"only $reps representatives")
   }
 
   test("naive refuses oversized instances") {
@@ -195,8 +171,8 @@ class ExactEntropySpec extends AnyFunSuite {
     assert(res.entropies.values.forall(_ == 1.0))
   }
 
-  // Ground-truth equivalence: naive (full-instance enumeration) == clause
-  // exact == optimized == the plaque pipeline, on randomized repaired
+  // Ground-truth equivalence: naive (full-instance enumeration) == the clause
+  // reference == optimized == runExact, on randomized repaired
   // instances. The wide-FD inputs add empty-LHS FDs, constant columns and
   // LHSs of up to 4 columns; every position is probed, so `p` also sits at
   // the first and the last cell, the edges of the kernel's bit insertion.
@@ -225,7 +201,7 @@ class ExactEntropySpec extends AnyFunSuite {
       assert(res.nonUnique == Uniqueness.nonUniquePositions(inst, closed))
       for (p <- inst.positions) {
         val n = ExactEntropy.compute(inst, closed, p)
-        val c = TestGen.viaClauses(TestGen.referenceClauses(inst, closed, p))
+        val c = TestGen.referenceViaClauses(TestGen.referenceClauses(inst, closed, p))
         assert(math.abs(n - c) < 1e-12, s"naive=$n clause=$c at $p inst=$inst fds=$fds")
         assert(math.abs(n - opt.entropies(p)) < 1e-12, s"naive=$n opt=${opt.entropies(p)} at $p")
         assert(math.abs(n - res.entropy(p)) < 1e-12, s"naive=$n runExact=${res.entropy(p)} at $p")

@@ -20,7 +20,7 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
 
   /** The plaque pipeline with the closure of all of `F`, as before key pruning. */
   private def fullClosure(inst: Instance, fds: Seq[FD])(
-      estimate: Seq[(Pos, MonteCarlo.MaskedClauses)] => Array[Double]): Vector[Vector[Double]] = {
+      estimate: Seq[Clauses.Rep] => Array[Double]): Vector[Vector[Double]] = {
     FDs.requireHolds(inst, fds)
     val (classOf, reps) = Clauses.classes(inst, FDs.closure(fds), Partition.of(inst))
     PlaqueTest.Result(inst, classOf, estimate(reps), Vector.empty, 0L).entropies
@@ -59,10 +59,10 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
     var refused = 0
     for ((name, inst, fds) <- TestGen.pipelineCases) {
       def message(t: Try[Vector[Vector[Double]]]) = t.toEither.left.map(_.getMessage)
-      val exact = Try(fullClosure(inst, fds)(_.map { case (p, mc) => ExactEntropy.viaClauses(p, mc) }.toArray))
+      val exact = Try(fullClosure(inst, fds)(_.map(ExactEntropy.ofClass).toArray))
       assert(message(Try(PlaqueTest.runExact(inst, fds).entropies)) == message(exact), name)
       if (exact.isFailure) refused += 1
-      val mc = fullClosure(inst, fds)(MonteCarlo.sample(_, 3000, 9, 1))
+      val mc = fullClosure(inst, fds)(reps => MonteCarlo.sample(reps.map(r => r.pos -> r.clauses), 3000, 9, 1))
       assert(PlaqueTest.run(spark, inst, fds, 3000, 9).entropies == mc, name)
     }
     assert(refused < TestGen.pipelineCases.size / 10, refused)
@@ -83,7 +83,7 @@ class KeyPruningSpec extends AnyFunSuite with SparkSpec {
     assert(pruned == Vector(ax, bdy, FD(Set(0, 1, 3, 4), 5)))
     assert(FDs.closure(fds) == Vector(ax, ad, bdy))
     assert(PlaqueTest.runExact(inst, fds).closedFds == pruned)
-    val exact = fullClosure(inst, fds)(_.map { case (p, mc) => ExactEntropy.viaClauses(p, mc) }.toArray)
+    val exact = fullClosure(inst, fds)(_.map(ExactEntropy.ofClass).toArray)
     assert(PlaqueTest.runExact(inst, fds).entropies == exact)
   }
 

@@ -128,7 +128,7 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
       val closed = FDs.closure(fds)
       for (p <- inst.positions.take(6)) {
         val cls = TestGen.referenceClauses(inst, closed, p)
-        val exact = TestGen.viaClauses(cls)
+        val exact = TestGen.referenceViaClauses(cls)
         val est = MonteCarlo.estimate(MonteCarlo.mask(cls), 100000, seed)
         assert(math.abs(est - exact) < 0.015, s"est=$est exact=$exact at $p")
       }
@@ -197,7 +197,7 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
       if (all.nonEmpty) {
         val spark_ = MonteCarlo.estimateSpark(spark, all, 50000, seed)
         for ((p, e) <- spark_) {
-          val exact = TestGen.viaClauses(all(p))
+          val exact = TestGen.referenceViaClauses(all(p))
           assert(math.abs(e - exact) < 0.025, s"seed=$seed p=$p spark=$e exact=$exact")
         }
       }
@@ -234,7 +234,7 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
     }
     for ((inst, fds, seed) <- cases) {
       val run = PlaqueTest.run(spark, inst, fds, 180001, seed)
-      val local = PlaqueTest.pipeline(inst, fds, 180001)(MonteCarlo.sample(_, 180001, seed, 1))
+      val local = PlaqueTest.pipeline(inst, fds, 180001)(reps => MonteCarlo.sample(reps.map(r => r.pos -> r.clauses), 180001, seed, 1))
       for (p <- inst.positions) assert(run.entropy(p) == local.entropy(p), s"seed=$seed p=$p")
     }
   }
@@ -244,12 +244,24 @@ class MonteCarloSpec extends AnyFunSuite with SparkSpec {
       val prep = Experiments.prepare(spark, d)
       val run = PlaqueTest.run(spark, prep.inst, prep.fds, 20000, 42)
       val replica = MonteCarlo.estimateSpark(spark, Clauses.forAllPositions(prep.inst, FDs.closure(prep.fds)), 20000, 42)
-      val local = PlaqueTest.pipeline(prep.inst, prep.fds, 20000)(MonteCarlo.sample(_, 20000, 42, 1))
+      val local = PlaqueTest.pipeline(prep.inst, prep.fds, 20000)(reps => MonteCarlo.sample(reps.map(r => r.pos -> r.clauses), 20000, 42, 1))
       assert(replica.keySet == run.nonUnique && run.nonUnique.nonEmpty, d)
       for (p <- prep.inst.positions) {
         assert(run.entropy(p) == replica.getOrElse(p, 1.0), s"$d at $p")
         assert(run.entropy(p) == local.entropy(p), s"$d at $p")
       }
+    }
+  }
+
+  test("run at 100,000 iterations lies within the Thm. 3.6 accuracy (δ = 1e-6) of runExact on every cell of the five mimics") {
+    val eps = MonteCarlo.accuracy(100000, 1e-6)
+    for (d <- Fig3Exp.DatasetNames) {
+      val prep = Experiments.prepare(spark, d)
+      val exact = PlaqueTest.runExact(prep.inst, prep.fds)
+      val mc = PlaqueTest.run(spark, prep.inst, prep.fds, 100000)
+      assert(mc.classOf.sameElements(exact.classOf) && exact.classes > 0, d)
+      for (p <- prep.inst.positions)
+        assert(math.abs(mc.entropy(p) - exact.entropy(p)) <= eps, s"$d at $p: run ${mc.entropy(p)}, runExact ${exact.entropy(p)}")
     }
   }
 

@@ -186,16 +186,41 @@ class PlaqueTestSpec extends AnyFunSuite with SparkSpec {
   // so its clause-cell union is (j, A) plus (j', A) and (j', B) for each.
   private val crowded = Instance(Vector("A", "B"), Vector.fill(28)(Vector(1, 2)))
 
+  test("runExact gives each B cell of 28 equal rows under A -> B exactly ½ + ½·(¾)^27") {
+    val res = PlaqueTest.runExact(crowded, Vector(FD(Set(0), 1)))
+    for (j <- 0 until 28) assert(res.entropy(Pos(j, 1)) == 0.5 + 0.5 * Iterator.fill(27)(0.75).product, s"row $j")
+  }
+
+  /** Two equal rows of zeros over `arity` columns: every FD holds, and no LHS is a key. */
+  private def zeros(arity: Int) = Instance(Vector.tabulate(arity)(k => s"A$k"), Vector.fill(2)(Vector.fill(arity)(0)))
+
+  // {A0, …, A26} -> A27: the LHS puts 27 cells of p's own row in clauses.
+  private val wideLhs = (zeros(28), Vector(FD((0 until 27).toSet, 27)))
+
   private def assertOversized(body: => Any): Unit = {
     val e = intercept[IllegalArgumentException](body)
-    assert(e.getMessage.matches("requirement failed: clause-cell union of position Pos\\(\\d+,1\\) has 55 cells.*"), e.getMessage)
+    assert(e.getMessage == "requirement failed: position Pos(0,27) has 27 LHS cells in its own row, " +
+      "more than the 26 exact evaluation allows", e.getMessage)
   }
 
   test("runExact names the position and union size of a refused clause set") {
-    assertOversized(PlaqueTest.runExact(crowded, Vector(FD(Set(0), 1))))
+    assertOversized(PlaqueTest.runExact(wideLhs._1, wideLhs._2))
   }
 
   test("clauseMatrix names the position and union size of a refused clause set") {
-    assertOversized(ExactEntropy.clauseMatrix(crowded, Vector(FD(Set(0), 1))))
+    assertOversized(ExactEntropy.clauseMatrix(wideLhs._1, wideLhs._2))
+  }
+
+  // The first 64 or 65 pairs of A0, …, A11 determine A12: as many closed FDs on one RHS.
+  private def pairs(n: Int) = (0 until 12).combinations(2).take(n).map(c => FD(c.toSet, 12)).toVector
+
+  test("runExact takes 64 closed FDs on one RHS, equal to the subset-at-a-time reference, and refuses 65") {
+    val res = PlaqueTest.runExact(zeros(13), pairs(64))
+    assert(res.closedFds.size == 64)
+    val want = TestGen.referenceViaClauses(TestGen.referenceClauses(zeros(13), res.closedFds, Pos(0, 12)))
+    assert(res.entropy(Pos(0, 12)) == want && res.entropy(Pos(1, 12)) == want)
+    val e = intercept[IllegalArgumentException](PlaqueTest.runExact(zeros(13), pairs(65)))
+    assert(e.getMessage == "requirement failed: position Pos(0,12) has 65 closed FDs on its RHS, " +
+      "more than the 64 exact evaluation allows", e.getMessage)
   }
 }

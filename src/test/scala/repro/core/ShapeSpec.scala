@@ -47,13 +47,13 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     val cell = (p: Pos) => p.row * inst.arity + p.col
     val nonUnique = Uniqueness.nonUniquePositions(inst, closed)
     assert(inst.positions.forall(p => (classOf(cell(p)) >= 0) == nonUnique(p)), at)
-    assert(reps.map(_._1) == reps.map(_._1).sortBy(p => (p.row, p.col)), at)
-    assert(reps.indices.forall(i => classOf(cell(reps(i)._1)) == i), at)
-    assert(nonUnique.map(p => p -> reps(classOf(cell(p)))._1).toMap == shapeReps(all, inst.arity), at)
-    for ((p, mc) <- reps) {
-      val want = MonteCarlo.mask(all(p))
-      assert(mc.nVars == want.nVars, s"$at, $p")
-      assert(mc.vars.map(_.toSeq).toSeq == want.vars.map(_.toSeq).toSeq, s"$at, $p")
+    assert(reps.map(_.pos) == reps.map(_.pos).sortBy(p => (p.row, p.col)), at)
+    assert(reps.indices.forall(i => classOf(cell(reps(i).pos)) == i), at)
+    assert(nonUnique.map(p => p -> reps(classOf(cell(p))).pos).toMap == shapeReps(all, inst.arity), at)
+    for (r <- reps) {
+      val want = MonteCarlo.mask(all(r.pos))
+      assert(r.clauses.nVars == want.nVars, s"$at, ${r.pos}")
+      assert(r.clauses.vars.map(_.toSeq).toSeq == want.vars.map(_.toSeq).toSeq, s"$at, ${r.pos}")
     }
     classOf.filter(_ >= 0).groupBy(identity).values.map(_.length).toSeq
   }
@@ -132,14 +132,17 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  test("runExact refuses echocardiogram at the least of its 13 class representatives over 26 cells") {
+  test("runExact evaluates echocardiogram's 13 class representatives over 26 clause cells from at most 3 own-row LHS cells") {
     val prep = Experiments.prepare(spark, "echocardiogram")
-    val e = intercept[IllegalArgumentException](PlaqueTest.runExact(prep.inst, prep.fds))
-    assert(e.getMessage == "requirement failed: clause-cell union of position Pos(0,0) has 131 cells, " +
-      "more than the 26 exact enumeration allows")
     val (_, reps) = Clauses.classes(prep.inst, nonKeyClosure(prep.inst, prep.fds), Partition.of(prep.inst))
-    val over = reps.filter(_._2.nVars > 26)
-    assert(over.size == 13 && over.head._1 == Pos(0, 0) && over.head._2.nVars == 131)
+    val over = reps.filter(_.clauses.nVars > 26)
+    assert(over.size == 13 && over.head.pos == Pos(0, 0) && over.head.clauses.nVars == 131)
+    // The union of the LHSs in any witness row's signature: p's own-row cells.
+    def ownCells(r: Clauses.Rep): Int =
+      r.sigs.flatMap(sig => r.lhs.indices.filter(f => (sig >>> f & 1L) != 0).flatMap(r.lhs(_))).distinct.size
+    assert(over.map(ownCells).max == 3)
+    val res = PlaqueTest.runExact(prep.inst, prep.fds)
+    for (r <- over) assert(res.entropy(r.pos) > 0 && res.entropy(r.pos) < 1, s"at ${r.pos}")
   }
 
   // Seeds 297, 410, 647 and 779 hold classes that a key without the rows
@@ -217,11 +220,16 @@ class ShapeSpec extends AnyFunSuite with SparkSpec {
     val repOf = Clauses.representatives(all)
     assert(repOf == shapeReps(all, 70))
     assert(repOf.values.toSet == Set(Pos(0, 0), Pos(2, 0)))
-    val exact = repOf.map { case (p, rep) => p -> ExactEntropy.viaClauses(rep, MonteCarlo.mask(all(rep))) }
+    val exact = repOf.map { case (p, rep) => p -> TestGen.referenceViaClauses(all(rep)) }
     assert(assertClasses(inst, fds, "70 columns") == Seq(2, 2))
     assert(exact == Map(Pos(0, 0) -> 0.875, Pos(1, 0) -> 0.875, Pos(2, 0) -> 31.0 / 32, Pos(3, 0) -> 31.0 / 32))
     val est = MonteCarlo.estimateSpark(spark, all, 20000, 5)
     for ((p, e) <- exact) assert(math.abs(est(p) - e) < 0.02, s"at $p: ${est(p)} vs $e")
+    // A bitmask of the LHS columns would wrap column 64 to column 0.
+    for (r <- Clauses.classes(inst, fds, Partition.of(inst))._2) {
+      val e = intercept[IllegalArgumentException](ExactEntropy.ofClass(r))
+      assert(e.getMessage == s"requirement failed: position ${r.pos} has an LHS column of 64 or more, which exact evaluation refuses")
+    }
   }
 
   test("the five mimics have 6 / 4 / 17 / 19 / 3 clause-shape classes among 119 / 300 / 932 / 770 / 150 non-unique cells") {

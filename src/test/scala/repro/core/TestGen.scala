@@ -248,13 +248,11 @@ object TestGen {
     (arity, fds.result())
   }
 
-  /** `ExactEntropy.viaClauses` of clauses over positions, lowered by
-    * `MonteCarlo.mask`, for a placeholder position `Pos(-1, -1)`.
-    */
-  def viaClauses(clauses: Seq[Set[Pos]]): Double = ExactEntropy.viaClauses(Pos(-1, -1), MonteCarlo.mask(clauses))
-
-  /** The subset-at-a-time enumeration that `ExactEntropy.viaClauses`
-    * replaced, kept as its oracle: the values must match bit for bit.
+  /** The exact value of a clause set over positions by the subset-at-a-time
+    * enumeration of its clause-cell union (at most 26 cells): the fraction
+    * of deletion sets that hit every clause. The oracle of
+    * `ExactEntropy.ofClass`, which must match it bit for bit on witness
+    * clauses.
     */
   def referenceViaClauses(clauses: Seq[Set[Pos]]): Double = {
     if (clauses.isEmpty) return 1.0
@@ -276,25 +274,6 @@ object TestGen {
       mask += 1
     }
     hit.toDouble / total
-  }
-
-  /** A random clause set whose clause-cell union is exactly the `n` cells
-    * `Pos(0, 0) … Pos(n − 1, 0)`: 1–8 clauses drawn with 1–4 cells each,
-    * every cell left undrawn added to a random clause, and sometimes one
-    * clause repeated.
-    * For `n = 0` it is either no clause or one empty clause.
-    */
-  def clauseSet(n: Int, seed: Long): Vector[Set[Pos]] = {
-    val rng = new Random(seed)
-    if (n == 0) return if (rng.nextBoolean()) Vector.empty else Vector(Set.empty)
-    val cells = Vector.tabulate(n)(Pos(_, 0))
-    val drawn = Array.fill(1 + rng.nextInt(8))(rng.shuffle(cells).take(1 + rng.nextInt(math.min(4, n))).toSet)
-    for (c <- cells if !drawn.exists(_.contains(c))) {
-      val k = rng.nextInt(drawn.length)
-      drawn(k) += c
-    }
-    val cls = drawn.toVector
-    if (rng.nextInt(3) == 0) cls :+ cls(rng.nextInt(cls.length)) else cls
   }
 
   /** The global-sort encode that `Instance.fromDataFrame` replaced, kept as

@@ -48,7 +48,7 @@ class UniquenessSpec extends AnyFunSuite with SparkSpec with AdaptiveSparkPlanHe
       val closed = FDs.closure(fds)
       val nu = Uniqueness.nonUniquePositions(inst, closed)
       for (p <- inst.positions) {
-        val inf = TestGen.viaClauses(TestGen.referenceClauses(inst, closed, p))
+        val inf = TestGen.referenceViaClauses(TestGen.referenceClauses(inst, closed, p))
         assert((inf == 1.0) == !nu.contains(p), s"at $p inf=$inf inst=$inst fds=$fds")
       }
     }
